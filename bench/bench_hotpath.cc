@@ -6,24 +6,22 @@
 // per row per level, NextSimplification per node). Single-threaded, since
 // the parallel engine multiplies whatever the single-thread core gives it.
 // Target: >=2x on deep-recursion instances (>=10k tuples, >=4
-// simplification levels); results FDR_CHECKed bit-identical.
+// simplification levels); results FDR_CHECKed bit-identical. The baseline
+// is the shared oracle of testsupport/reference_recursion.h.
 
 #include <chrono>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "report_util.h"
 #include "catalog/fd_parser.h"
 #include "common/simd.h"
-#include "engine/block_partitioner.h"
-#include "graph/bipartite_matching.h"
 #include "srepair/opt_srepair.h"
-#include "srepair/osr_succeeds.h"
 #include "srepair/simplification.h"
 #include "storage/consistency.h"
 #include "storage/row_span.h"
+#include "testsupport/reference_recursion.h"
 #include "workloads/example_fdsets.h"
 #include "workloads/generators.h"
 
@@ -34,98 +32,6 @@ using benchreport::Banner;
 using benchreport::JsonReport;
 using benchreport::Num;
 using benchreport::ReportTable;
-
-// --- The pre-span recursion, preserved here as the comparison baseline.
-
-Status LegacyRecurse(const FdSet& fds, const TableView& view,
-                     std::vector<int>* kept, double* kept_weight) {
-  if (view.empty()) return Status::OK();
-  SimplificationStep step = NextSimplification(fds);
-  switch (step.kind) {
-    case SimplificationKind::kTrivialTermination: {
-      for (int i = 0; i < view.num_tuples(); ++i) {
-        kept->push_back(view.row(i));
-        *kept_weight += view.weight(i);
-      }
-      return Status::OK();
-    }
-    case SimplificationKind::kCommonLhs: {
-      for (const TableView& block : view.GroupBy(step.removed)) {
-        std::vector<int> rows;
-        double weight = 0;
-        FDR_RETURN_IF_ERROR(LegacyRecurse(step.after, block, &rows, &weight));
-        kept->insert(kept->end(), rows.begin(), rows.end());
-        *kept_weight += weight;
-      }
-      return Status::OK();
-    }
-    case SimplificationKind::kConsensus: {
-      std::vector<std::vector<int>> rows;
-      std::vector<double> weights;
-      for (const TableView& block : view.GroupBy(step.removed)) {
-        std::vector<int> block_rows;
-        double weight = 0;
-        FDR_RETURN_IF_ERROR(
-            LegacyRecurse(step.after, block, &block_rows, &weight));
-        rows.push_back(std::move(block_rows));
-        weights.push_back(weight);
-      }
-      int best = -1;
-      for (size_t b = 0; b < rows.size(); ++b) {
-        if (best < 0 || weights[b] > weights[best]) best = static_cast<int>(b);
-      }
-      if (best >= 0 && weights[best] > 0) {
-        kept->insert(kept->end(), rows[best].begin(), rows[best].end());
-        *kept_weight += weights[best];
-      }
-      return Status::OK();
-    }
-    case SimplificationKind::kLhsMarriage: {
-      BlockPartition partition =
-          PartitionForMarriage(view, step.marriage_x1, step.marriage_x2);
-      std::vector<std::vector<int>> rows(partition.blocks.size());
-      std::vector<BipartiteEdge> edges;
-      std::unordered_map<uint64_t, int> block_of;
-      for (size_t b = 0; b < partition.blocks.size(); ++b) {
-        double weight = 0;
-        FDR_RETURN_IF_ERROR(LegacyRecurse(
-            step.after, partition.blocks[b].view, &rows[b], &weight));
-        edges.push_back(BipartiteEdge{partition.blocks[b].left,
-                                      partition.blocks[b].right, weight});
-        const uint64_t key =
-            (static_cast<uint64_t>(
-                 static_cast<uint32_t>(partition.blocks[b].left))
-             << 32) |
-            static_cast<uint32_t>(partition.blocks[b].right);
-        block_of[key] = static_cast<int>(b);
-      }
-      MatchingResult matching = MaxWeightBipartiteMatching(
-          partition.num_left, partition.num_right, edges);
-      for (const auto& [left, right] : matching.pairs) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(left)) << 32) |
-            static_cast<uint32_t>(right);
-        const int b = block_of.at(key);
-        kept->insert(kept->end(), rows[b].begin(), rows[b].end());
-        *kept_weight += edges[b].weight;
-      }
-      return Status::OK();
-    }
-    case SimplificationKind::kStuck:
-      return Status::FailedPrecondition("legacy: stuck");
-  }
-  return Status::Internal("unreachable");
-}
-
-StatusOr<std::vector<int>> LegacyOptSRepairRows(const FdSet& fds,
-                                                const TableView& view) {
-  if (!OsrSucceeds(fds)) return Status::FailedPrecondition("legacy: hard");
-  std::vector<int> kept;
-  double kept_weight = 0;
-  FDR_RETURN_IF_ERROR(LegacyRecurse(fds, view, &kept, &kept_weight));
-  std::sort(kept.begin(), kept.end());
-  return kept;
-}
 
 // --- Workloads.
 
@@ -196,7 +102,7 @@ void Report() {
 
     std::vector<int> legacy_rows;
     double legacy_ms = TimeRowsMs(
-        [&] { return LegacyOptSRepairRows(workload.parsed.fds, view); },
+        [&] { return ReferenceOptSRepairRows(workload.parsed.fds, view); },
         &legacy_rows);
     std::vector<int> span_rows;
     double span_ms = TimeRowsMs(
@@ -313,7 +219,7 @@ void BM_LegacyRecursionDeepChain(benchmark::State& state) {
   Table table = ScalingFamilyTable(parsed, n, 5 + n);
   TableView view(table);
   for (auto _ : state) {
-    auto rows = LegacyOptSRepairRows(parsed.fds, view);
+    auto rows = ReferenceOptSRepairRows(parsed.fds, view);
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -263,10 +263,8 @@ int main(int argc, char** argv) {
         request.mode = mode_of(log[r]);
         request.fds = parsed.fds;
         request.table = &tables[log[r]];
-        if (request.mode == RepairMode::kSubset) {
-          request.backend = args.backend;
-          request.max_ratio = args.max_ratio;
-        } else if (request.mode == RepairMode::kSoft) {
+        if (request.mode != RepairMode::kUpdate) {
+          // soft_weights is empty unless --mode=soft made every request soft.
           request.options.backend = args.backend;
           request.options.max_ratio = args.max_ratio;
           request.options.soft_weights = soft_weights;
@@ -323,7 +321,7 @@ int main(int argc, char** argv) {
           // Shadow re-plan: the same mutated state, cache bypassed.
           RepairRequest cold = request;
           cold.delta = nullptr;
-          cold.bypass_cache = true;
+          cold.options.bypass_cache = true;
           auto cold_start = std::chrono::steady_clock::now();
           auto replanned = service.Serve(cold);
           auto cold_end = std::chrono::steady_clock::now();

@@ -55,7 +55,7 @@ std::vector<StatusOr<SRepairResult>> RepairEngine::RepairBatch(
       return;
     }
     SRepairOptions options = job.options;
-    options.exec.pool = options_.parallel_blocks ? pool_.get() : nullptr;
+    options.exec.pool = pool_.get();
     options.exec.parallel_cutoff = options_.parallel_cutoff;
     options.exec.deadline = deadlines[j];
     results[j] = ComputeSRepair(job.fds, *job.table, options);

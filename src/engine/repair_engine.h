@@ -52,9 +52,6 @@ struct EngineOptions {
   /// Worker threads. 0 picks std::thread::hardware_concurrency(); 1 runs
   /// everything on the calling thread (the bit-identical baseline).
   int threads = 0;
-  /// Also parallelize *within* a job (OptSRepair block fan-out). Disable
-  /// to parallelize across jobs only — useful when batches are wide.
-  bool parallel_blocks = true;
   /// Fallback budget for jobs that set no deadline of their own.
   std::optional<std::chrono::milliseconds> default_deadline;
   /// Passed through to OptSRepairExec::parallel_cutoff.

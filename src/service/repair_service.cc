@@ -12,83 +12,26 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-const char* RepairModeName(RepairMode mode) {
-  switch (mode) {
-    case RepairMode::kSubset:
-      return "subset";
-    case RepairMode::kUpdate:
-      return "update";
-    case RepairMode::kSoft:
-      return "soft";
-  }
-  return "unknown";
-}
-
-/// The fully resolved request: the merged option set and the effective FD
-/// cover (soft-weight profile applied, then canonicalized — the
-/// weight-preserving cover of catalog/fdset.h).
-struct ResolvedRequest {
-  RepairOptions options;
-  FdSet cover;
-};
-
 /// THE validator: every mode/option compatibility rule lives here, and
 /// nowhere else — Serve runs it before keying, admission or execution, so
 /// a bad combination always fails the same way, with kInvalidArgument.
-/// Also merges the deprecated flat RepairRequest fields into `options`
-/// (conflicting values are an error, not a silent preference).
-StatusOr<ResolvedRequest> ResolveRequest(const RepairRequest& request) {
+/// Returns the effective FD cover: the soft-weight profile applied, then
+/// canonicalized (the weight-preserving cover of catalog/fdset.h).
+StatusOr<FdSet> ResolveRequest(const RepairRequest& request) {
   if (request.table == nullptr) {
     return Status::InvalidArgument("RepairRequest.table is null");
   }
-  ResolvedRequest resolved;
-  RepairOptions& options = resolved.options;
-  options = request.options;
-  if (!request.backend.empty()) {
-    if (!options.backend.empty() && options.backend != request.backend) {
-      return Status::InvalidArgument(
-          "RepairRequest.backend (deprecated) and options.backend disagree: '" +
-          request.backend + "' vs '" + options.backend + "'");
-    }
-    options.backend = request.backend;
-  }
-  if (request.max_ratio != 0) {
-    if (options.max_ratio != 0 && options.max_ratio != request.max_ratio) {
-      return Status::InvalidArgument(
-          "RepairRequest.max_ratio (deprecated) and options.max_ratio "
-          "disagree: " +
-          std::to_string(request.max_ratio) + " vs " +
-          std::to_string(options.max_ratio));
-    }
-    options.max_ratio = request.max_ratio;
-  }
+  const RepairOptions& options = request.options;
   if (options.max_ratio < 0) {
     return Status::InvalidArgument("options.max_ratio must be >= 0, got " +
                                    std::to_string(options.max_ratio));
-  }
-  if (request.deadline) {
-    if (options.deadline && *options.deadline != *request.deadline) {
-      return Status::InvalidArgument(
-          "RepairRequest.deadline (deprecated) and options.deadline disagree");
-    }
-    options.deadline = request.deadline;
-  }
-  if (request.threads != 0) {
-    if (options.threads != 0 && options.threads != request.threads) {
-      return Status::InvalidArgument(
-          "RepairRequest.threads (deprecated) and options.threads disagree: " +
-          std::to_string(request.threads) + " vs " +
-          std::to_string(options.threads));
-    }
-    options.threads = request.threads;
   }
   if (options.threads < 0) {
     return Status::InvalidArgument("options.threads must be >= 0, got " +
                                    std::to_string(options.threads));
   }
-  options.bypass_cache = options.bypass_cache || request.bypass_cache;
 
-  const std::string mode = RepairModeName(request.mode);
+  const std::string mode = RepairModeToString(request.mode);
   const bool solver_mode =
       request.mode == RepairMode::kSubset || request.mode == RepairMode::kSoft;
   if (!solver_mode && (!options.backend.empty() || options.max_ratio > 0)) {
@@ -123,14 +66,14 @@ StatusOr<ResolvedRequest> ResolveRequest(const RepairRequest& request) {
         " treats every FD as hard; use RepairMode::kSoft (or strip the "
         "weights)");
   }
-  resolved.cover = effective.CanonicalCover();
+  FdSet cover = effective.CanonicalCover();
   if (!options.backend.empty()) {
     const SolverBackend* backend = FindSolverBackend(options.backend);
     if (backend == nullptr) {
       return Status::InvalidArgument("unknown solver backend '" +
                                      options.backend + "'");
     }
-    if (resolved.cover.HasSoftFds() && !backend->soft_capable()) {
+    if (cover.HasSoftFds() && !backend->soft_capable()) {
       return Status::InvalidArgument(
           "solver backend '" + options.backend +
           "' cannot solve soft-cover instances (finite-weight violations "
@@ -138,7 +81,7 @@ StatusOr<ResolvedRequest> ResolveRequest(const RepairRequest& request) {
           "(local-ratio, bnb, ilp)");
     }
   }
-  return resolved;
+  return cover;
 }
 
 /// The canonical request key: mode, canonical cover (as lhs-bitmask/rhs
@@ -175,9 +118,29 @@ std::optional<Clock::time_point> AbsoluteDeadline(
   return admitted + *options.deadline;
 }
 
+/// The kept tuple ids of a subset-shaped repair, in its row order.
+std::vector<TupleId> KeptIds(const Table& repair) {
+  std::vector<TupleId> ids;
+  ids.reserve(repair.num_tuples());
+  for (int row = 0; row < repair.num_tuples(); ++row) {
+    ids.push_back(repair.id(row));
+  }
+  return ids;
+}
+
 }  // namespace
 
-const char* RepairModeToString(RepairMode mode) { return RepairModeName(mode); }
+const char* RepairModeToString(RepairMode mode) {
+  switch (mode) {
+    case RepairMode::kSubset:
+      return "subset";
+    case RepairMode::kUpdate:
+      return "update";
+    case RepairMode::kSoft:
+      return "soft";
+  }
+  return "unknown";
+}
 
 RepairService::RepairService(const RepairServiceOptions& options)
     : options_(options), engine_(options.engine) {
@@ -253,28 +216,38 @@ void RepairService::ReleaseExecSlot() {
 }
 
 StatusOr<RepairService::CachedRepair> RepairService::Execute(
-    const RepairRequest& request, const RepairOptions& effective,
-    const FdSet& cover, const std::optional<Clock::time_point>& deadline,
+    const RepairRequest& request, const FdSet& cover,
+    const std::optional<Clock::time_point>& deadline,
     const SRepairPlanCache* delta_base, const URepairPlanCache* udelta_base,
     SRepairSpliceStats* splice, std::optional<Table>* materialized) {
   const Table& table = *request.table;
-  CachedRepair cached;
-  cached.mode = request.mode;
+  const RepairOptions& options = request.options;
   if (deadline && Clock::now() >= *deadline) {
     return Status::DeadlineExceeded("deadline expired before execution");
   }
+  // One execution context for every mode: blocks fan out on the engine's
+  // pool unless the request pins the sequential baseline (threads == 1).
+  // Results are bit-identical either way.
+  OptSRepairExec exec;
+  if (options.threads != 1) {
+    exec.pool = engine_.pool();
+    exec.parallel_cutoff = options_.engine.parallel_cutoff;
+  }
+  if (deadline) exec.deadline = *deadline;
+  CachedRepair cached;
+  cached.mode = request.mode;
   // A soft request whose canonical cover is all-hard IS a subset request
   // (violations are priced out entirely): run it through the very same
-  // pipeline — engine fan-out, plan capture and all — so the ω ≡ ∞ pin is
+  // pipeline — block fan-out, plan capture and all — so the ω ≡ ∞ pin is
   // bit-identical by construction, not by reimplementation.
   const bool soft_core =
       request.mode == RepairMode::kSoft && cover.HasSoftFds();
-  if (request.mode == RepairMode::kSubset ||
-      (request.mode == RepairMode::kSoft && !soft_core)) {
+  if (request.mode != RepairMode::kUpdate && !soft_core) {
     // Per-request solver knobs override the service-wide configuration.
     SRepairOptions srepair = options_.srepair;
-    if (!effective.backend.empty()) srepair.backend = effective.backend;
-    if (effective.max_ratio > 0) srepair.max_ratio = effective.max_ratio;
+    if (!options.backend.empty()) srepair.backend = options.backend;
+    if (options.max_ratio > 0) srepair.max_ratio = options.max_ratio;
+    srepair.exec = exec;
     // Capture the run's top-level plan so later deltas of this state can
     // splice; when this run IS a delta with a live base plan, splice it.
     // The planner only honors these on the polynomial route — explicit
@@ -286,42 +259,21 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
       srepair.delta_updated_ids = &request.delta->updated;
       srepair.splice_stats = splice;
     }
-    StatusOr<SRepairResult> result = Status::Internal("never ran");
-    if (effective.threads == 1) {
-      // Sequential hint: run on the calling thread, no block fan-out. The
-      // engine guarantees bit-identical results either way.
-      SRepairOptions options = srepair;
-      options.exec.pool = nullptr;
-      if (deadline) options.exec.deadline = *deadline;
-      result = ComputeSRepair(cover, table, options);
-    } else {
-      RepairJob job;
-      job.fds = cover;
-      job.table = &table;
-      job.options = srepair;
-      if (deadline) {
-        job.deadline = std::chrono::duration_cast<std::chrono::milliseconds>(
-            *deadline - Clock::now());
-      }
-      result = engine_.Repair(job);
-    }
-    if (!result.ok()) return result.status();
-    cached.kept_ids.reserve(result->repair.num_tuples());
-    for (int row = 0; row < result->repair.num_tuples(); ++row) {
-      cached.kept_ids.push_back(result->repair.id(row));
-    }
-    cached.distance = result->distance;
-    cached.optimal = result->optimal;
-    cached.ratio_bound = result->ratio_bound;
-    cached.route = SRepairAlgorithmToString(result->algorithm);
+    FDR_ASSIGN_OR_RETURN(SRepairResult result,
+                         ComputeSRepair(cover, table, srepair));
+    cached.kept_ids = KeptIds(result.repair);
+    cached.distance = result.distance;
+    cached.optimal = result.optimal;
+    cached.ratio_bound = result.ratio_bound;
+    cached.route = SRepairAlgorithmToString(result.algorithm);
     if (request.mode == RepairMode::kSoft) {
       cached.route = "soft[" + cached.route + "]";
     }
-    cached.backend = result->backend;
-    cached.lower_bound = result->lower_bound;
-    cached.achieved_ratio = result->achieved_ratio;
+    cached.backend = result.backend;
+    cached.lower_bound = result.lower_bound;
+    cached.achieved_ratio = result.achieved_ratio;
     if (plan->spliceable) cached.plan = std::move(plan);
-    *materialized = std::move(result->repair);
+    *materialized = std::move(result.repair);
     return cached;
   }
   if (soft_core) {
@@ -330,18 +282,15 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     // soft-capable solver backends). Its recursion is sequential, so the
     // threads hint is moot — responses are identical at every setting.
     SoftRepairOptions soptions;
-    soptions.backend = effective.backend;
+    soptions.backend = options.backend;
     soptions.exact_guard = options_.srepair.exact_guard;
     soptions.node_budget = options_.srepair.node_budget;
-    soptions.max_ratio = effective.max_ratio > 0 ? effective.max_ratio
-                                                 : options_.srepair.max_ratio;
-    if (deadline) soptions.exec.deadline = *deadline;
+    soptions.max_ratio = options.max_ratio > 0 ? options.max_ratio
+                                               : options_.srepair.max_ratio;
+    soptions.exec = exec;
     FDR_ASSIGN_OR_RETURN(SoftRepairResult result,
                          ComputeSoftRepair(cover, table, soptions));
-    cached.kept_ids.reserve(result.repair.num_tuples());
-    for (int row = 0; row < result.repair.num_tuples(); ++row) {
-      cached.kept_ids.push_back(result.repair.id(row));
-    }
+    cached.kept_ids = KeptIds(result.repair);
     // `distance` carries the full soft objective (deleted weight plus
     // violation cost) — the quantity the planner minimized.
     cached.distance = result.cost;
@@ -357,17 +306,11 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   // Update repairs run the cell-edit pipeline (urepair/opt_urepair.h): the
   // canonical edit list IS the cache recipe, a captured U-plan seeds later
   // deltas of this state, and a live base U-plan splices. Inner S-repairs
-  // honor the deadline cooperatively; the approximation/exact routes
-  // remain admission-only.
+  // fan out and honor the deadline exactly as subset mode; the
+  // approximation/exact routes remain admission-only.
   OptURepairOptions uoptions;
   uoptions.planner = options_.urepair;
-  if (request.threads != 1) {
-    // The engine's pool fans the inner S-repairs' blocks out; threads == 1
-    // pins the bit-identical sequential baseline, exactly as subset mode.
-    uoptions.exec.pool = engine_.pool();
-    uoptions.exec.parallel_cutoff = options_.engine.parallel_cutoff;
-  }
-  if (deadline) uoptions.exec.deadline = *deadline;
+  uoptions.exec = exec;
   auto uplan = std::make_shared<URepairPlanCache>();
   StatusOr<OptURepairResult> result = Status::Internal("never ran");
   if (request.delta != nullptr && udelta_base != nullptr) {
@@ -386,11 +329,7 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     result = OptURepairCells(cover, table, uoptions, uplan.get());
   }
   if (!result.ok()) return result.status();
-  cached.edits.reserve(result->edits.size());
-  for (const URepairCellEdit& edit : result->edits) {
-    cached.edits.push_back(
-        CachedRepair::CellEdit{edit.id, edit.attr, edit.text});
-  }
+  cached.edits = std::move(result->edits);
   cached.distance = result->distance;
   cached.optimal = result->optimal;
   cached.ratio_bound = result->ratio_bound;
@@ -401,57 +340,38 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   }
   cached.route = "urepair[" + (routes.empty() ? "noop" : routes) + "]";
   if (uplan->spliceable) cached.uplan = std::move(uplan);
-  // Materialize the leader's response exactly as Replay would (clone +
-  // apply edits): one shared code shape keeps leader, followers and hits
-  // bit-identical.
-  Table update = table.Clone();
-  for (const CachedRepair::CellEdit& edit : cached.edits) {
-    FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
-  }
-  *materialized = std::move(update);
+  // Materialize the leader's response exactly as a replay would: one
+  // shared code path keeps leader, followers and hits bit-identical.
+  FDR_ASSIGN_OR_RETURN(*materialized, cached.Materialize(table));
   return cached;
 }
 
-StatusOr<RepairResponse> RepairService::Replay(const CachedRepair& cached,
-                                               const Table& table,
-                                               bool cache_hit,
-                                               uint64_t key) const {
-  if (cached.mode != RepairMode::kUpdate) {
+StatusOr<Table> RepairService::CachedRepair::Materialize(
+    const Table& table) const {
+  if (mode != RepairMode::kUpdate) {
     std::vector<int> rows;
-    rows.reserve(cached.kept_ids.size());
-    for (TupleId id : cached.kept_ids) {
+    rows.reserve(kept_ids.size());
+    for (TupleId id : kept_ids) {
       FDR_ASSIGN_OR_RETURN(int row, table.RowOf(id));
       rows.push_back(row);
     }
-    RepairResponse response{table.SubsetByRows(rows),
-                            cached.distance,
-                            cached.optimal,
-                            cached.ratio_bound,
-                            cached.route,
-                            cached.backend,
-                            cached.lower_bound,
-                            cached.achieved_ratio,
-                            cache_hit,
-                            key};
-    return response;
+    return table.SubsetByRows(rows);
   }
   Table update = table.Clone();
-  for (const CachedRepair::CellEdit& edit : cached.edits) {
+  for (const URepairCellEdit& edit : edits) {
     FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
     update.SetValue(row, edit.attr, update.Intern(edit.text));
   }
-  RepairResponse response{std::move(update),
-                          cached.distance,
-                          cached.optimal,
-                          cached.ratio_bound,
-                          cached.route,
-                          cached.backend,
-                          cached.lower_bound,
-                          cached.achieved_ratio,
-                          cache_hit,
-                          key};
-  return response;
+  return update;
+}
+
+RepairResponse RepairService::CachedRepair::Respond(Table repair,
+                                                    bool cache_hit,
+                                                    uint64_t key) const {
+  return RepairResponse{std::move(repair), distance,       optimal,
+                        ratio_bound,       route,          backend,
+                        lower_bound,       achieved_ratio, cache_hit,
+                        key};
 }
 
 void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
@@ -489,25 +409,24 @@ void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
 
 StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   const Clock::time_point admitted = Clock::now();
-  // All request validation — legacy-field merging, mode/option mismatches,
-  // weight application and cover canonicalization — lives in ResolveRequest.
-  FDR_ASSIGN_OR_RETURN(ResolvedRequest resolved, ResolveRequest(request));
+  // All request validation — mode/option mismatches, weight application
+  // and cover canonicalization — lives in ResolveRequest.
+  FDR_ASSIGN_OR_RETURN(const FdSet cover, ResolveRequest(request));
+  const RepairOptions& options = request.options;
   const std::optional<Clock::time_point> deadline =
-      AbsoluteDeadline(resolved.options, admitted);
+      AbsoluteDeadline(options, admitted);
   if (request.delta != nullptr) {
     // A stale or corrupted delta would poison the chain-keyed cache with a
     // result attributed to the wrong state — reject it before keying.
     FDR_RETURN_IF_ERROR(ValidateDelta(*request.delta, *request.table));
   }
-  const FdSet& cover = resolved.cover;
   // Delta requests are identified by their O(|delta|) chain hash; everyone
   // else pays the O(n) content hash. The two identities never alias (see
   // storage/table_delta.h).
   const uint64_t table_hash = request.delta != nullptr
                                   ? request.delta->result_hash
                                   : TableContentHash(*request.table);
-  const uint64_t key =
-      RequestKey(request.mode, resolved.options, cover, table_hash);
+  const uint64_t key = RequestKey(request.mode, options, cover, table_hash);
 
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -533,15 +452,17 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     return status;
   };
 
+  // After the lookup loop: `hit` — `entry` holds a ready result to replay;
+  // otherwise this call executes, as the leader of `entry`, or without any
+  // entry when the request bypasses the cache.
   std::shared_ptr<Entry> entry;
-  bool leader = false;
-  while (!resolved.options.bypass_cache) {
+  bool hit = false;
+  while (!options.bypass_cache) {
     std::unique_lock<std::mutex> lock(cache_mu_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
       entry = std::make_shared<Entry>();
       entries_.emplace(key, Slot{entry, lru_.end(), false});
-      leader = true;
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.misses;
       break;
@@ -554,8 +475,7 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
         it->second.lru_pos = lru_.begin();
       }
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.hits;
+      hit = true;
       break;
     }
     // Single-flight: another thread is computing this exact request; wait
@@ -578,8 +498,7 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
       }
     }
     if (entry->status.ok()) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.hits;
+      hit = true;
       break;
     }
     // The leader failed. Deterministic failures (bad request, planner
@@ -596,44 +515,34 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     entry.reset();
   }
 
-  if (!leader) {
-    if (entry != nullptr) {
-      // Served from cache (ready at lookup, or single-flight follower).
-      return Replay(entry->result, *request.table, /*cache_hit=*/true, key);
+  if (hit) {
+    // Served from cache (ready at lookup, or single-flight follower) —
+    // unless the request's own deadline has already passed: a hit answers
+    // within the same budget as every other path.
+    if (deadline && Clock::now() >= *deadline) {
+      return fail(Status::DeadlineExceeded(
+          "deadline expired before the cached result was replayed"));
     }
-    // bypass_cache: execute without touching the cache — a delta request
-    // here never splices (the splice's base plan IS cached state).
-    Status slot = AcquireExecSlot(deadline);
-    if (!slot.ok()) return fail(std::move(slot));
-    std::optional<Table> materialized;
-    SRepairSpliceStats splice;
-    StatusOr<CachedRepair> computed =
-        Execute(request, resolved.options, cover, deadline, nullptr, nullptr,
-                &splice, &materialized);
-    ReleaseExecSlot();
-    if (!computed.ok()) return fail(computed.status());
-    return RepairResponse{std::move(*materialized),
-                          computed->distance,
-                          computed->optimal,
-                          computed->ratio_bound,
-                          computed->route,
-                          computed->backend,
-                          computed->lower_bound,
-                          computed->achieved_ratio,
-                          /*cache_hit=*/false,
-                          key};
+    {
+      std::lock_guard<std::mutex> stats_lock(stats_mu_);
+      ++stats_.hits;
+    }
+    const CachedRepair& cached = entry->result;
+    FDR_ASSIGN_OR_RETURN(Table repair, cached.Materialize(*request.table));
+    return cached.Respond(std::move(repair), /*cache_hit=*/true, key);
   }
 
   // Leader of a delta request: look up the pre-mutation state's entry and
   // pin its plan for the splice. A miss (evicted, never served, or a
   // planless hard/backend route) simply degrades to a full re-plan — the
-  // result is bit-identical either way, only slower.
+  // result is bit-identical either way, only slower. (Delta requests never
+  // bypass the cache; ResolveRequest rejects that combination.)
   std::shared_ptr<Entry> base_entry;
   const SRepairPlanCache* base_plan = nullptr;
   const URepairPlanCache* base_uplan = nullptr;
   if (request.delta != nullptr) {
-    const uint64_t base_key = RequestKey(request.mode, resolved.options, cover,
-                                         request.delta->base_hash);
+    const uint64_t base_key =
+        RequestKey(request.mode, options, cover, request.delta->base_hash);
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = entries_.find(base_key);
     if (it != entries_.end() && it->second.entry->ready &&
@@ -651,17 +560,17 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     }
   }
 
-  // Leader: admission control, then plan & execute, then publish.
+  // Admission control, then plan & execute, then publish (a request that
+  // bypasses the cache has no entry to publish).
   Status slot = AcquireExecSlot(deadline);
   if (!slot.ok()) {
-    Publish(key, entry, slot, CachedRepair{});
+    if (entry != nullptr) Publish(key, entry, slot, CachedRepair{});
     return fail(std::move(slot));
   }
   std::optional<Table> materialized;
   SRepairSpliceStats splice;
-  StatusOr<CachedRepair> computed =
-      Execute(request, resolved.options, cover, deadline, base_plan,
-              base_uplan, &splice, &materialized);
+  StatusOr<CachedRepair> computed = Execute(
+      request, cover, deadline, base_plan, base_uplan, &splice, &materialized);
   ReleaseExecSlot();
   if (request.delta != nullptr && computed.ok()) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -688,22 +597,18 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     }
   }
   if (!computed.ok()) {
-    Publish(key, entry, computed.status(), CachedRepair{});
+    if (entry != nullptr) {
+      Publish(key, entry, computed.status(), CachedRepair{});
+    }
     return fail(computed.status());
   }
   // Answer from the planner's own output (copying only the provenance
   // strings), then publish — followers and later hits replay the entry.
-  RepairResponse response{std::move(*materialized),
-                          computed->distance,
-                          computed->optimal,
-                          computed->ratio_bound,
-                          computed->route,
-                          computed->backend,
-                          computed->lower_bound,
-                          computed->achieved_ratio,
-                          /*cache_hit=*/false,
-                          key};
-  Publish(key, entry, Status::OK(), std::move(*computed));
+  RepairResponse response = computed->Respond(std::move(*materialized),
+                                              /*cache_hit=*/false, key);
+  if (entry != nullptr) {
+    Publish(key, entry, Status::OK(), std::move(*computed));
+  }
   return response;
 }
 

@@ -72,10 +72,8 @@ enum class RepairMode {
 const char* RepairModeToString(RepairMode mode);
 
 /// Every per-request knob in one place, embedded in RepairRequest as
-/// `options`. The historical flat RepairRequest fields forward here (see
-/// RepairRequest) — new code sets this struct only. Mode/option
-/// compatibility is validated centrally in Serve; mismatches fail with
-/// kInvalidArgument before keying or admission.
+/// `options`. Mode/option compatibility is validated centrally in Serve;
+/// mismatches fail with kInvalidArgument before keying or admission.
 struct RepairOptions {
   /// kSubset/kSoft: hard-side solver backend by registry name
   /// ("local-ratio", "bnb", "ilp", "lp-rounding", ...). Empty defers to
@@ -87,12 +85,15 @@ struct RepairOptions {
   /// (see SRepairOptions::max_ratio). 0 disables the gate. Also keyed.
   double max_ratio = 0;
   /// Time budget from the moment Serve is called; covers queueing, waiting
-  /// on a single-flight leader, and execution. Unset: no limit.
+  /// on a single-flight leader, execution, and cache hits: a hit whose
+  /// deadline has already passed fails with kDeadlineExceeded instead of
+  /// replaying. Unset: no limit.
   std::optional<std::chrono::milliseconds> deadline;
-  /// Thread hint: 0 uses the service's engine as configured; 1 forces this
-  /// request's execution onto the calling thread (no block fan-out — the
-  /// bit-identical sequential baseline). Values > 1 are advisory only and
-  /// currently behave like 0 (the engine's pool is shared and fixed-size).
+  /// Thread hint, for every mode: 0 uses the service's engine pool; 1
+  /// forces this request's execution onto the calling thread (no block
+  /// fan-out — the bit-identical sequential baseline). Values > 1 are
+  /// advisory only and currently behave like 0 (the engine's pool is
+  /// shared and fixed-size).
   int threads = 0;
   /// Skip the cache entirely (no lookup, no store, no dedup). Admission
   /// control still applies. Used by benches to measure cold latency.
@@ -109,28 +110,12 @@ struct RepairOptions {
 
 /// One typed serving request. The table is borrowed and must stay alive
 /// (and unmodified) until Serve returns.
-///
-/// The flat `deadline`/`threads`/`bypass_cache`/`backend`/`max_ratio`
-/// fields are DEPRECATED forwarders kept for source compatibility: they
-/// merge into `options` at the top of Serve, and setting a knob both ways
-/// to conflicting values fails with kInvalidArgument. New code sets
-/// `options` only.
 struct RepairRequest {
   RepairMode mode = RepairMode::kSubset;
   FdSet fds;
   const Table* table = nullptr;
-  /// The unified per-request options (see RepairOptions).
+  /// The per-request options (see RepairOptions).
   RepairOptions options;
-  /// DEPRECATED — use options.deadline.
-  std::optional<std::chrono::milliseconds> deadline;
-  /// DEPRECATED — use options.threads.
-  int threads = 0;
-  /// DEPRECATED — use options.bypass_cache.
-  bool bypass_cache = false;
-  /// DEPRECATED — use options.backend.
-  std::string backend;
-  /// DEPRECATED — use options.max_ratio.
-  double max_ratio = 0;
   /// The mutation taking a previously served table state to *table
   /// (borrowed, like the table; must validate against it — see
   /// storage/table_delta.h). When set, the request is keyed by the delta's
@@ -213,7 +198,9 @@ struct RepairServiceOptions {
   /// Cache-missing requests allowed to *wait* for an execution slot beyond
   /// `max_inflight`; anything past that is rejected with kUnavailable.
   int max_queue = 64;
-  /// The batch engine serving subset-repair execution.
+  /// The engine whose pool runs every mode's block fan-out. Its `threads`
+  /// and `parallel_cutoff` apply; per-request time limits come from
+  /// RepairOptions::deadline (`default_deadline` is not consulted).
   EngineOptions engine;
   /// Route options passed through to the planners (exec is overwritten).
   SRepairOptions srepair;
@@ -255,7 +242,8 @@ class RepairService {
     RepairMode mode = RepairMode::kSubset;
     /// kSubset/kSoft: surviving tuple ids, in the repair's row order.
     std::vector<TupleId> kept_ids;
-    /// kUpdate: cell rewrites (tuple id, attribute, new value text).
+    /// kUpdate: cell rewrites (tuple id, attribute, new value text), in
+    /// OptURepairCells' canonical order.
     ///
     /// ⊥ fresh-value note: update repairs may introduce fresh constants.
     /// Their names are *deterministic* — derived from the freshened cell's
@@ -269,12 +257,7 @@ class RepairService {
     /// already occupies a fresh name, the pool disambiguates by appending
     /// "'" (value_pool.h), so the final text additionally depends on that
     /// colliding user content — identical tables still agree on it.
-    struct CellEdit {
-      TupleId id;
-      AttrId attr;
-      std::string text;
-    };
-    std::vector<CellEdit> edits;
+    std::vector<URepairCellEdit> edits;
     double distance = 0;
     bool optimal = false;
     double ratio_bound = 1;
@@ -293,6 +276,12 @@ class RepairService {
     /// recipes), the update-mode delta seed. Same pinning and immutability
     /// contract as `plan`.
     std::shared_ptr<const URepairPlanCache> uplan;
+
+    /// Replays the recipe against `table`: the kept rows in recipe order
+    /// (kSubset/kSoft) or a clone with every cell edit applied (kUpdate).
+    StatusOr<Table> Materialize(const Table& table) const;
+    /// The response carrying `repair` and this recipe's provenance.
+    RepairResponse Respond(Table repair, bool cache_hit, uint64_t key) const;
   };
 
   /// One cache slot; exists from first request until eviction. `ready`
@@ -317,19 +306,14 @@ class RepairService {
   /// Runs the planner and condenses its result into a CachedRepair. Also
   /// moves the planner's already-materialized repair table into
   /// *materialized: the caller that just executed answers from it directly
-  /// instead of replaying the cache entry (Replay re-resolves every kept id
+  /// instead of replaying the cache entry (replay re-resolves every kept id
   /// against the table — pure overhead when the planner's own output is
   /// still in hand). Only cache hits and single-flight followers replay.
   StatusOr<CachedRepair> Execute(
-      const RepairRequest& request, const RepairOptions& effective,
-      const FdSet& cover,
+      const RepairRequest& request, const FdSet& cover,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
       const SRepairPlanCache* delta_base, const URepairPlanCache* udelta_base,
       SRepairSpliceStats* splice, std::optional<Table>* materialized);
-
-  StatusOr<RepairResponse> Replay(const CachedRepair& cached,
-                                  const Table& table, bool cache_hit,
-                                  uint64_t key) const;
 
   /// Marks `entry` ready (ok or failed) and wakes followers; stores ready
   /// successes into the LRU (evicting beyond capacity) and erases failures

@@ -71,26 +71,11 @@ RecursionScratch& LocalScratch() {
   return scratch;
 }
 
-/// RAII arena leases: buffers go back to the freelist on scope exit, so the
-/// recursion arms may return early (including through FDR_RETURN_IF_ERROR)
-/// without leaking buffers out of the arena. Destruction happens on the
-/// thread that acquired, since Recurse runs each node on one thread.
-class ScopedIntBuffer {
- public:
-  explicit ScopedIntBuffer(GroupScratch* groups)
-      : groups_(groups), buffer_(groups->AcquireIntBuffer()) {}
-  ~ScopedIntBuffer() { groups_->ReleaseIntBuffer(std::move(buffer_)); }
-  ScopedIntBuffer(const ScopedIntBuffer&) = delete;
-  ScopedIntBuffer& operator=(const ScopedIntBuffer&) = delete;
-
-  std::vector<int>& operator*() { return buffer_; }
-  std::vector<int>* operator->() { return &buffer_; }
-
- private:
-  GroupScratch* groups_;
-  std::vector<int> buffer_;
-};
-
+/// RAII arena lease for a BlockResult vector: it goes back to the freelist
+/// on scope exit, so the recursion may return early (including through
+/// FDR_RETURN_IF_ERROR) without leaking buffers out of the arena.
+/// Destruction happens on the thread that acquired, since Recurse runs each
+/// node on one thread.
 class ScopedResults {
  public:
   ScopedResults(RecursionScratch* scratch, int num_blocks)
@@ -105,6 +90,65 @@ class ScopedResults {
  private:
   RecursionScratch* scratch_;
   std::vector<BlockResult> results_;
+};
+
+/// One chain step's partition of a span into its σ-blocks, in
+/// first-appearance order: grouped by the removed attribute for common-lhs
+/// and consensus steps, by X1X2 for an lhs marriage — which also gives each
+/// block its bipartite endpoints, the dense first-appearance ids of its
+/// π_X1 (left) and π_X2 (right) values. Permutes the span's window in
+/// place. Buffers are leased from `groups` (the calling thread's arena)
+/// and returned on scope exit, under the same single-thread rule as
+/// ScopedResults; only marriage steps lease the endpoint buffers.
+class StepBlocks {
+ public:
+  StepBlocks(const SimplificationStep& step, RowSpan span,
+             GroupScratch* groups)
+      : groups_(groups),
+        span_(span),
+        marriage_(step.kind == SimplificationKind::kLhsMarriage),
+        ends_(groups->AcquireIntBuffer()) {
+    if (marriage_) {
+      left_ = groups->AcquireIntBuffer();
+      right_ = groups->AcquireIntBuffer();
+      PartitionSpanForMarriage(span, step.marriage_x1, step.marriage_x2,
+                               groups, &ends_, &left_, &right_, &num_left_,
+                               &num_right_);
+    } else {
+      PartitionSpanByAttrs(span, step.removed, groups, &ends_);
+    }
+  }
+  ~StepBlocks() {
+    if (marriage_) {
+      groups_->ReleaseIntBuffer(std::move(right_));
+      groups_->ReleaseIntBuffer(std::move(left_));
+    }
+    groups_->ReleaseIntBuffer(std::move(ends_));
+  }
+  StepBlocks(const StepBlocks&) = delete;
+  StepBlocks& operator=(const StepBlocks&) = delete;
+
+  int size() const { return static_cast<int>(ends_.size()); }
+  /// The sub-window of the span holding block b.
+  RowSpan Block(int b) const {
+    const int begin = b == 0 ? 0 : ends_[b - 1];
+    return span_.Subspan(begin, ends_[b] - begin);
+  }
+  /// Marriage steps only: block b's bipartite endpoints and side sizes.
+  int left(int b) const { return left_[b]; }
+  int right(int b) const { return right_[b]; }
+  int num_left() const { return num_left_; }
+  int num_right() const { return num_right_; }
+
+ private:
+  GroupScratch* groups_;
+  RowSpan span_;
+  bool marriage_;
+  std::vector<int> ends_;
+  std::vector<int> left_;
+  std::vector<int> right_;
+  int num_left_ = 0;
+  int num_right_ = 0;
 };
 
 /// Everything constant across one OptSRepairRows recursion.
@@ -126,22 +170,21 @@ struct RecursionContext {
 /// CaptureBlockResults can translate kept rows to positions without any
 /// per-row hashing.
 void CaptureBlockIds(SRepairPlanCache* capture, SimplificationKind kind,
-                     RowSpan span, const std::vector<int>& group_ends,
+                     RowSpan span, const StepBlocks& blocks,
                      std::vector<int>* pos_of_row) {
-  const int num_blocks = static_cast<int>(group_ends.size());
   capture->spliceable = true;
   capture->top_kind = kind;
   capture->blocks.clear();
-  capture->blocks.reserve(num_blocks);
+  capture->blocks.reserve(blocks.size());
   pos_of_row->resize(span.table().num_tuples());
-  for (int b = 0; b < num_blocks; ++b) {
-    const int begin = b == 0 ? 0 : group_ends[b - 1];
+  for (int b = 0; b < blocks.size(); ++b) {
+    const RowSpan block = blocks.Block(b);
     SRepairBlockRecipe& recipe =
         *capture->blocks.emplace_back(std::make_shared<SRepairBlockRecipe>());
-    recipe.ids.reserve(group_ends[b] - begin);
-    for (int i = begin; i < group_ends[b]; ++i) {
-      recipe.ids.push_back(span.id(i));
-      (*pos_of_row)[span.row(i)] = i - begin;
+    recipe.ids.reserve(block.num_tuples());
+    for (int i = 0; i < block.num_tuples(); ++i) {
+      recipe.ids.push_back(block.id(i));
+      (*pos_of_row)[block.row(i)] = i;
     }
   }
 }
@@ -241,11 +284,85 @@ Status SolveBlocks(const RecursionContext& ctx, int depth, int num_blocks,
   return Status::OK();
 }
 
-/// The sub-window of `span` holding block b of a grouping with the given
-/// end offsets.
-RowSpan BlockSpan(RowSpan span, const std::vector<int>& group_ends, int b) {
-  const int begin = b == 0 ? 0 : group_ends[b - 1];
-  return span.Subspan(begin, group_ends[b] - begin);
+/// Keeps every row of `span` (a consistent span is its own optimal
+/// S-repair), adding the weights left to right.
+void KeepAll(RowSpan span, std::vector<int>* kept, double* kept_weight) {
+  for (int i = 0; i < span.num_tuples(); ++i) {
+    kept->push_back(span.row(i));
+    *kept_weight += span.weight(i);
+  }
+}
+
+/// The combine step of Algorithm 1: merges the per-block results of a
+/// `kind` step (the first blocks.size() entries of `results`), appending
+/// the kept rows to *kept and their weight to *kept_weight. Every merge
+/// reads the blocks in first-appearance order, so the reduction — and its
+/// floating-point sums — is the same for every thread count, and for cold
+/// and spliced block results alike.
+void MergeBlocks(SimplificationKind kind, const StepBlocks& blocks,
+                 const std::vector<BlockResult>& results,
+                 std::vector<int>* kept, double* kept_weight) {
+  const int num_blocks = blocks.size();
+  switch (kind) {
+    case SimplificationKind::kCommonLhs: {
+      // Subroutine 1: the union of the groups' repairs. Tuples in
+      // different groups disagree on A ∈ lhs of every FD, so the union is
+      // consistent.
+      for (int b = 0; b < num_blocks; ++b) {
+        kept->insert(kept->end(), results[b].rows.begin(),
+                     results[b].rows.end());
+        *kept_weight += results[b].weight;
+      }
+      return;
+    }
+    case SimplificationKind::kConsensus: {
+      // Subroutine 2: all surviving tuples must agree on A, so keep only
+      // the heaviest group's repair (the first one on ties).
+      const BlockResult* best = nullptr;
+      for (int b = 0; b < num_blocks; ++b) {
+        if (best == nullptr || results[b].weight > best->weight) {
+          best = &results[b];
+        }
+      }
+      if (best != nullptr && best->weight > 0) {
+        kept->insert(kept->end(), best->rows.begin(), best->rows.end());
+        *kept_weight += best->weight;
+      }
+      return;
+    }
+    case SimplificationKind::kLhsMarriage: {
+      // Subroutine 3: a consistent subset may keep, for any X1 value,
+      // tuples of at most one X2 value and vice versa (cl(X1) = cl(X2) ⊇
+      // X1X2), so block selection is a bipartite matching between π_X1 T
+      // and π_X2 T, maximizing kept weight.
+      std::vector<BipartiteEdge> edges;
+      edges.reserve(num_blocks);
+      for (int b = 0; b < num_blocks; ++b) {
+        edges.push_back(
+            BipartiteEdge{blocks.left(b), blocks.right(b), results[b].weight});
+      }
+      MatchingResult matching = MaxWeightBipartiteMatching(
+          blocks.num_left(), blocks.num_right(), edges);
+      // Blocks are keyed by their unique (left, right) pair.
+      auto pair_key = [](int l, int r) {
+        return (static_cast<uint64_t>(static_cast<uint32_t>(l)) << 32) |
+               static_cast<uint32_t>(r);
+      };
+      std::unordered_map<uint64_t, int> block_of;
+      block_of.reserve(num_blocks);
+      for (int b = 0; b < num_blocks; ++b) {
+        block_of[pair_key(blocks.left(b), blocks.right(b))] = b;
+      }
+      for (const auto& [l, r] : matching.pairs) {
+        const BlockResult& result = results[block_of.at(pair_key(l, r))];
+        kept->insert(kept->end(), result.rows.begin(), result.rows.end());
+        *kept_weight += result.weight;
+      }
+      return;
+    }
+    default:
+      FDR_CHECK_MSG(false, "MergeBlocks: step kind has no blocks");
+  }
 }
 
 // Recursive body of Algorithm 1 over the chain step at `depth`. Appends the
@@ -276,153 +393,52 @@ Status Recurse(const RecursionContext& ctx, int depth, RowSpan span,
     return Status::OK();
   }
   switch (step.kind) {
-    case SimplificationKind::kTrivialTermination: {
+    case SimplificationKind::kTrivialTermination:
       // Line 2: ∆ trivial — T is its own optimal S-repair.
-      for (int i = 0; i < span.num_tuples(); ++i) {
-        kept->push_back(span.row(i));
-        *kept_weight += span.weight(i);
-      }
+      KeepAll(span, kept, kept_weight);
       return Status::OK();
-    }
-    case SimplificationKind::kCommonLhs: {
-      // Subroutine 1: group by the common lhs attribute and take the union
-      // of the groups' optimal S-repairs under ∆ − A. Tuples in different
-      // groups disagree on A ∈ lhs of every FD, so the union is consistent.
+    case SimplificationKind::kCommonLhs:
+    case SimplificationKind::kConsensus:
+    case SimplificationKind::kLhsMarriage: {
+      // Subroutines 1–3: partition into σ-blocks, solve each under the
+      // next chain step (∆ − A, resp. ∆ − X1X2), then merge.
       RecursionScratch& scratch = LocalScratch();
-      ScopedIntBuffer group_ends(&scratch.groups);
-      PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
-      const int num_blocks = static_cast<int>(group_ends->size());
+      const StepBlocks blocks(step, span, &scratch.groups);
+      const int num_blocks = blocks.size();
       const bool capturing = depth == 0 && ctx.capture != nullptr;
       if (num_blocks == span.num_tuples() && !capturing) {
         // Every block is a single tuple, and a single tuple is always its
-        // own optimal S-repair — the union keeps everything. Same rows and
-        // the same left-to-right weight sum as the block-by-block merge.
-        for (int i = 0; i < span.num_tuples(); ++i) {
-          kept->push_back(span.row(i));
-          *kept_weight += span.weight(i);
+        // own optimal S-repair. Both shortcuts compute exactly what the
+        // block merge would: the union keeps everything with the same
+        // left-to-right weight sum, and the consensus repair is the
+        // heaviest tuple, first in span order on ties (`>` against the
+        // running best).
+        if (step.kind == SimplificationKind::kCommonLhs) {
+          KeepAll(span, kept, kept_weight);
+          return Status::OK();
         }
-        return Status::OK();
+        if (step.kind == SimplificationKind::kConsensus) {
+          int best = 0;
+          for (int i = 1; i < span.num_tuples(); ++i) {
+            if (span.weight(i) > span.weight(best)) best = i;
+          }
+          kept->push_back(span.row(best));
+          *kept_weight += span.weight(best);
+          return Status::OK();
+        }
       }
       std::vector<int> capture_pos;
       if (capturing) {
-        CaptureBlockIds(ctx.capture, step.kind, span, *group_ends,
-                        &capture_pos);
+        CaptureBlockIds(ctx.capture, step.kind, span, blocks, &capture_pos);
       }
       ScopedResults results(&scratch, num_blocks);
       FDR_RETURN_IF_ERROR(SolveBlocks(
-          ctx, depth + 1, num_blocks,
-          [&](int b) { return BlockSpan(span, *group_ends, b); },
+          ctx, depth + 1, num_blocks, [&](int b) { return blocks.Block(b); },
           span.num_tuples(), &*results));
       if (capturing) {
         CaptureBlockResults(ctx.capture, capture_pos, *results);
       }
-      for (int b = 0; b < num_blocks; ++b) {
-        kept->insert(kept->end(), results[b].rows.begin(),
-                     results[b].rows.end());
-        *kept_weight += results[b].weight;
-      }
-      return Status::OK();
-    }
-    case SimplificationKind::kConsensus: {
-      // Subroutine 2: all surviving tuples must agree on A, so solve each
-      // A-group independently and keep only the heaviest repair.
-      RecursionScratch& scratch = LocalScratch();
-      ScopedIntBuffer group_ends(&scratch.groups);
-      PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
-      const int num_blocks = static_cast<int>(group_ends->size());
-      const bool capturing = depth == 0 && ctx.capture != nullptr;
-      if (num_blocks == span.num_tuples() && !capturing) {
-        // All blocks are single tuples: the consensus repair is the
-        // heaviest tuple, first in span order on ties — exactly what the
-        // block merge below computes via `>` against the running best.
-        int best = 0;
-        for (int i = 1; i < span.num_tuples(); ++i) {
-          if (span.weight(i) > span.weight(best)) best = i;
-        }
-        kept->push_back(span.row(best));
-        *kept_weight += span.weight(best);
-        return Status::OK();
-      }
-      std::vector<int> capture_pos;
-      if (capturing) {
-        CaptureBlockIds(ctx.capture, step.kind, span, *group_ends,
-                        &capture_pos);
-      }
-      ScopedResults results(&scratch, num_blocks);
-      FDR_RETURN_IF_ERROR(SolveBlocks(
-          ctx, depth + 1, num_blocks,
-          [&](int b) { return BlockSpan(span, *group_ends, b); },
-          span.num_tuples(), &*results));
-      if (capturing) {
-        CaptureBlockResults(ctx.capture, capture_pos, *results);
-      }
-      const BlockResult* best = nullptr;
-      for (int b = 0; b < num_blocks; ++b) {
-        if (best == nullptr || results[b].weight > best->weight) {
-          best = &results[b];
-        }
-      }
-      if (best != nullptr && best->weight > 0) {
-        kept->insert(kept->end(), best->rows.begin(), best->rows.end());
-        *kept_weight += best->weight;
-      }
-      return Status::OK();
-    }
-    case SimplificationKind::kLhsMarriage: {
-      // Subroutine 3. Blocks are the distinct (a1, a2) ∈ π_{X1X2}T; each
-      // solved under ∆ − X1X2. A consistent subset may keep, for any X1
-      // value, tuples of at most one X2 value and vice versa (cl(X1) =
-      // cl(X2) ⊇ X1X2), so block selection is a bipartite matching between
-      // π_X1 T and π_X2 T, maximizing kept weight.
-      RecursionScratch& scratch = LocalScratch();
-      ScopedIntBuffer group_ends(&scratch.groups);
-      ScopedIntBuffer left(&scratch.groups);
-      ScopedIntBuffer right(&scratch.groups);
-      int num_left = 0;
-      int num_right = 0;
-      PartitionSpanForMarriage(span, step.marriage_x1, step.marriage_x2,
-                               &scratch.groups, &*group_ends, &*left, &*right,
-                               &num_left, &num_right);
-      const int num_blocks = static_cast<int>(group_ends->size());
-      const bool capturing = depth == 0 && ctx.capture != nullptr;
-      std::vector<int> capture_pos;
-      if (capturing) {
-        CaptureBlockIds(ctx.capture, step.kind, span, *group_ends,
-                        &capture_pos);
-      }
-      ScopedResults results(&scratch, num_blocks);
-      FDR_RETURN_IF_ERROR(SolveBlocks(
-          ctx, depth + 1, num_blocks,
-          [&](int b) { return BlockSpan(span, *group_ends, b); },
-          span.num_tuples(), &*results));
-      if (capturing) {
-        CaptureBlockResults(ctx.capture, capture_pos, *results);
-      }
-      std::vector<BipartiteEdge> edges;
-      edges.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        edges.push_back(
-            BipartiteEdge{(*left)[b], (*right)[b], results[b].weight});
-      }
-      MatchingResult matching =
-          MaxWeightBipartiteMatching(num_left, num_right, edges);
-      // Blocks are keyed by their unique (left, right) pair.
-      std::unordered_map<uint64_t, int> block_of;
-      block_of.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>((*left)[b])) << 32) |
-            static_cast<uint32_t>((*right)[b]);
-        block_of[key] = b;
-      }
-      for (const auto& [l, r] : matching.pairs) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(l)) << 32) |
-            static_cast<uint32_t>(r);
-        const BlockResult& result = results[block_of.at(key)];
-        kept->insert(kept->end(), result.rows.begin(), result.rows.end());
-        *kept_weight += result.weight;
-      }
+      MergeBlocks(step.kind, blocks, *results, kept, kept_weight);
       return Status::OK();
     }
     case SimplificationKind::kStuck: {
@@ -502,19 +518,8 @@ StatusOr<std::vector<int>> DeltaRows(
   RecursionScratch& scratch = LocalScratch();
 
   // Partition the mutated table exactly as a cold run's depth-0 arm would.
-  ScopedIntBuffer group_ends(&scratch.groups);
-  ScopedIntBuffer left(&scratch.groups);
-  ScopedIntBuffer right(&scratch.groups);
-  int num_left = 0;
-  int num_right = 0;
-  if (step.kind == SimplificationKind::kLhsMarriage) {
-    PartitionSpanForMarriage(span, step.marriage_x1, step.marriage_x2,
-                             &scratch.groups, &*group_ends, &*left, &*right,
-                             &num_left, &num_right);
-  } else {
-    PartitionSpanByAttrs(span, step.removed, &scratch.groups, &*group_ends);
-  }
-  const int num_blocks = static_cast<int>(group_ends->size());
+  const StepBlocks blocks(step, span, &scratch.groups);
+  const int num_blocks = blocks.size();
 
   BaseBlockIndex index;
   for (const auto& recipe : base.blocks) index.Add(recipe->ids);
@@ -547,7 +552,7 @@ StatusOr<std::vector<int>> DeltaRows(
   std::vector<TupleId> ids_scratch;
   int blocks_clean = 0;
   for (int b = 0; b < num_blocks; ++b) {
-    RowSpan block = BlockSpan(span, *group_ends, b);
+    RowSpan block = blocks.Block(b);
     ids_scratch.clear();
     bool dirtied = false;
     for (int i = 0; i < block.num_tuples(); ++i) {
@@ -578,66 +583,19 @@ StatusOr<std::vector<int>> DeltaRows(
   // Re-run the top-level merge over the mixed per-block results — the same
   // reduction, in the same first-appearance block order, as the cold arms.
   std::vector<int> kept;
-  switch (step.kind) {
-    case SimplificationKind::kCommonLhs: {
-      for (int b = 0; b < num_blocks; ++b) {
-        kept.insert(kept.end(), results[b].rows.begin(),
-                    results[b].rows.end());
-      }
-      break;
-    }
-    case SimplificationKind::kConsensus: {
-      const BlockResult* best = nullptr;
-      for (int b = 0; b < num_blocks; ++b) {
-        if (best == nullptr || results[b].weight > best->weight) {
-          best = &results[b];
-        }
-      }
-      if (best != nullptr && best->weight > 0) {
-        kept.insert(kept.end(), best->rows.begin(), best->rows.end());
-      }
-      break;
-    }
-    case SimplificationKind::kLhsMarriage: {
-      std::vector<BipartiteEdge> edges;
-      edges.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        edges.push_back(
-            BipartiteEdge{(*left)[b], (*right)[b], results[b].weight});
-      }
-      MatchingResult matching =
-          MaxWeightBipartiteMatching(num_left, num_right, edges);
-      std::unordered_map<uint64_t, int> block_of;
-      block_of.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>((*left)[b])) << 32) |
-            static_cast<uint32_t>((*right)[b]);
-        block_of[key] = b;
-      }
-      for (const auto& [l, r] : matching.pairs) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(l)) << 32) |
-            static_cast<uint32_t>(r);
-        const BlockResult& result = results[block_of.at(key)];
-        kept.insert(kept.end(), result.rows.begin(), result.rows.end());
-      }
-      break;
-    }
-    default:
-      return Status::Internal("delta splice: unreachable top step kind");
-  }
+  double kept_weight = 0;
+  MergeBlocks(step.kind, blocks, *results, &kept, &kept_weight);
 
   if (capture != nullptr) {
     // Build the refreshed plan before touching *capture — callers may pass
     // capture == &base to refresh a plan in place. Clean blocks alias the
     // base plan's (immutable) recipes, so the refresh allocates only for
     // the dirty set.
-    std::vector<std::shared_ptr<SRepairBlockRecipe>> blocks(num_blocks);
+    std::vector<std::shared_ptr<SRepairBlockRecipe>> refreshed(num_blocks);
     for (int b = 0; b < num_blocks; ++b) {
       const int m = base_of_block[b];
       if (m >= 0) {
-        blocks[b] = base.blocks[m];
+        refreshed[b] = base.blocks[m];
         continue;
       }
       auto fresh = std::make_shared<SRepairBlockRecipe>();
@@ -648,11 +606,11 @@ StatusOr<std::vector<int>> DeltaRows(
         recipe.kept_pos.push_back(pos_of_row[row]);
       }
       recipe.weight = results[b].weight;
-      blocks[b] = std::move(fresh);
+      refreshed[b] = std::move(fresh);
     }
     capture->spliceable = true;
     capture->top_kind = step.kind;
-    capture->blocks = std::move(blocks);
+    capture->blocks = std::move(refreshed);
   }
   if (stats != nullptr) {
     stats->blocks_total = num_blocks;
@@ -688,44 +646,10 @@ StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
   return RunRows(fds, view, options.exec, capture);
 }
 
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairExec& exec) {
-  OptSRepairRowsOptions options;
-  options.exec = exec;
-  return OptSRepairRows(fds, view, options);
-}
-
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairExec& exec,
-                                          SRepairPlanCache* capture) {
-  OptSRepairRowsOptions options;
-  options.exec = exec;
-  return OptSRepairRows(fds, view, options, capture);
-}
-
-StatusOr<std::vector<int>> OptSRepairRowsDelta(
-    const FdSet& fds, const TableView& view, const OptSRepairExec& exec,
-    const SRepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    SRepairPlanCache* capture, SRepairSpliceStats* stats) {
-  OptSRepairRowsOptions options;
-  options.exec = exec;
-  options.delta_base = &base;
-  options.delta_updated_ids = &updated_ids;
-  options.splice_stats = stats;
-  return OptSRepairRows(fds, view, options, capture);
-}
-
-StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table,
-                           const OptSRepairExec& exec) {
-  FDR_ASSIGN_OR_RETURN(std::vector<int> rows,
-                       OptSRepairRows(fds, TableView(table), exec));
-  return table.SubsetByRows(rows);
-}
-
 StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table) {
-  return OptSRepair(fds, table, OptSRepairExec{});
+  FDR_ASSIGN_OR_RETURN(std::vector<int> rows,
+                       OptSRepairRows(fds, TableView(table)));
+  return table.SubsetByRows(rows);
 }
 
 }  // namespace fdrepair

@@ -179,29 +179,8 @@ StatusOr<std::vector<int>> OptSRepairRows(
     const OptSRepairRowsOptions& options = {},
     SRepairPlanCache* capture = nullptr);
 
-/// DEPRECATED shim — calls the canonical OptSRepairRows with {exec}.
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairExec& exec);
-
-/// DEPRECATED shim — calls the canonical OptSRepairRows with {exec} and
-/// the capture sink.
-StatusOr<std::vector<int>> OptSRepairRows(const FdSet& fds,
-                                          const TableView& view,
-                                          const OptSRepairExec& exec,
-                                          SRepairPlanCache* capture);
-
-/// DEPRECATED shim — calls the canonical OptSRepairRows with the delta
-/// fields of OptSRepairRowsOptions populated.
-StatusOr<std::vector<int>> OptSRepairRowsDelta(
-    const FdSet& fds, const TableView& view, const OptSRepairExec& exec,
-    const SRepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    SRepairPlanCache* capture, SRepairSpliceStats* stats);
-
 /// Convenience: materializes the optimal S-repair of `table` as a Table
 /// (identifiers and weights preserved).
-StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table,
-                           const OptSRepairExec& exec);
 StatusOr<Table> OptSRepair(const FdSet& fds, const Table& table);
 
 }  // namespace fdrepair

@@ -276,6 +276,24 @@ StatusOr<OptURepairResult> DeltaCells(
 
   bool all_exact = true;
   double achieved_bound = 1.0;
+  // Splices one component's inner S-repair against its captured plan,
+  // refreshing the plan into *fresh and counting the splice's blocks.
+  auto splice_inner = [&](const FdSet& component_fds,
+                          const SRepairPlanCache& base_plan,
+                          SRepairPlanCache* fresh) {
+    SRepairSpliceStats cstats;
+    OptSRepairRowsOptions row_options;
+    row_options.exec = options.exec;
+    row_options.delta_base = &base_plan;
+    row_options.delta_updated_ids = &updated_ids;
+    row_options.splice_stats = &cstats;
+    StatusOr<std::vector<int>> kept_rows = OptSRepairRows(
+        component_fds.WithoutTrivial(), TableView(table), row_options, fresh);
+    total.blocks_total += cstats.blocks_total;
+    total.blocks_clean += cstats.blocks_clean;
+    total.blocks_dirty += cstats.blocks_dirty;
+    return kept_rows;
+  };
 
   for (size_t c = 0; c < plan.components.size(); ++c) {
     URepairComponentPlan& component = plan.components[c];
@@ -301,21 +319,10 @@ StatusOr<OptURepairResult> DeltaCells(
           return Status::FailedPrecondition(
               "captured U-plan is missing its inner S-plan");
         }
-        FdSet delta = component.fds.WithoutTrivial();
         auto fresh = std::make_shared<SRepairPlanCache>();
-        SRepairSpliceStats cstats;
-        OptSRepairRowsOptions row_options;
-        row_options.exec = options.exec;
-        row_options.delta_base = bc.splan.get();
-        row_options.delta_updated_ids = &updated_ids;
-        row_options.splice_stats = &cstats;
-        FDR_ASSIGN_OR_RETURN(
-            std::vector<int> kept_rows,
-            OptSRepairRows(delta, TableView(table), row_options, fresh.get()));
-        (void)kept_rows;  // The edits derive from the refreshed blocks.
-        total.blocks_total += cstats.blocks_total;
-        total.blocks_clean += cstats.blocks_clean;
-        total.blocks_dirty += cstats.blocks_dirty;
+        // The edits derive from the refreshed blocks, not the kept rows.
+        FDR_RETURN_IF_ERROR(
+            splice_inner(component.fds, *bc.splan, fresh.get()).status());
         // A clean block's refreshed recipe IS the base recipe (the splice
         // aliases it), so pointer identity proves the block's membership
         // and kept set — and hence its freshening — are unchanged, and the
@@ -350,20 +357,10 @@ StatusOr<OptURepairResult> DeltaCells(
           return Status::FailedPrecondition(
               "captured U-plan is missing its inner S-plan");
         }
-        FdSet delta = component.fds.WithoutTrivial();
         auto fresh = std::make_shared<SRepairPlanCache>();
-        SRepairSpliceStats cstats;
-        OptSRepairRowsOptions row_options;
-        row_options.exec = options.exec;
-        row_options.delta_base = bc.splan.get();
-        row_options.delta_updated_ids = &updated_ids;
-        row_options.splice_stats = &cstats;
         FDR_ASSIGN_OR_RETURN(
             std::vector<int> kept_rows,
-            OptSRepairRows(delta, TableView(table), row_options, fresh.get()));
-        total.blocks_total += cstats.blocks_total;
-        total.blocks_clean += cstats.blocks_clean;
-        total.blocks_dirty += cstats.blocks_dirty;
+            splice_inner(component.fds, *bc.splan, fresh.get()));
         // The Proposition 4.9 alignment depends on the *global* kept order
         // (its partial bijection is built first-kept-wins across blocks),
         // so it is recomputed over the spliced kept set — one O(n) column
@@ -408,16 +405,5 @@ StatusOr<OptURepairResult> DeltaCells(
 }
 
 }  // namespace
-
-StatusOr<OptURepairResult> OptURepairCellsDelta(
-    const FdSet& fds, const Table& table, const OptURepairOptions& options,
-    const URepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    URepairPlanCache* capture, SRepairSpliceStats* stats) {
-  OptURepairOptions delta_options = options;
-  delta_options.delta_base = &base;
-  delta_options.delta_updated_ids = &updated_ids;
-  delta_options.splice_stats = stats;
-  return OptURepairCells(fds, table, delta_options, capture);
-}
 
 }  // namespace fdrepair

@@ -20,11 +20,11 @@
 //
 //   - consensus attributes: recomputed outright (one contiguous column
 //     sweep per attribute — already O(n), nothing worth caching);
-//   - common-lhs: OptSRepairRowsDelta re-runs dirty blocks only; a clean
-//     block's *edit recipe* is reused by shared_ptr identity with the
-//     refreshed S-plan's recipe (recipes are immutable once published, so
-//     pointer equality proves the block — ids, kept set and hence its
-//     freshening — is unchanged), skipping the per-cell name
+//   - common-lhs: the inner OptSRepairRows splice re-runs dirty blocks
+//     only; a clean block's *edit recipe* is reused by shared_ptr identity
+//     with the refreshed S-plan's recipe (recipes are immutable once
+//     published, so pointer equality proves the block — ids, kept set and
+//     hence its freshening — is unchanged), skipping the per-cell name
 //     construction and pool interning entirely;
 //   - key-cycle: the inner S-repair splices; the Proposition 4.9
 //     alignment pass is recomputed over the spliced kept set (it is a
@@ -156,13 +156,6 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                                            const Table& table,
                                            const OptURepairOptions& options = {},
                                            URepairPlanCache* capture = nullptr);
-
-/// DEPRECATED shim — calls the canonical OptURepairCells with the delta
-/// fields of OptURepairOptions populated.
-StatusOr<OptURepairResult> OptURepairCellsDelta(
-    const FdSet& fds, const Table& table, const OptURepairOptions& options,
-    const URepairPlanCache& base, const std::vector<TupleId>& updated_ids,
-    URepairPlanCache* capture, SRepairSpliceStats* stats);
 
 }  // namespace fdrepair
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "service/repair_service.h"
 #include "srepair/planner.h"
 #include "srepair/solver_backend.h"
+#include "storage/table_delta.h"
 #include "storage/table_hash.h"
 #include "storage/table_io.h"
 #include "urepair/planner.h"
@@ -61,6 +63,15 @@ void ExpectSameRepair(const Table& a, const Table& b) {
           << "row " << row << " col " << c;
     }
   }
+}
+
+void ExpectSameResponse(const RepairResponse& a, const RepairResponse& b) {
+  ExpectSameRepair(a.repair, b.repair);
+  EXPECT_EQ(a.distance, b.distance);
+  EXPECT_EQ(a.optimal, b.optimal);
+  EXPECT_EQ(a.ratio_bound, b.ratio_bound);
+  EXPECT_EQ(a.route, b.route);
+  EXPECT_EQ(a.cache_key, b.cache_key);
 }
 
 TEST(TableHashTest, EqualContentHashesEqualAcrossPools) {
@@ -271,7 +282,7 @@ TEST(RepairServiceTest, BypassCacheNeitherReadsNorStores) {
   Table table = ScalingFamilyTable(parsed, 120, 29);
   RepairService service;
   RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
-  request.bypass_cache = true;
+  request.options.bypass_cache = true;
   auto first = service.Serve(request);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first->cache_hit);
@@ -281,20 +292,61 @@ TEST(RepairServiceTest, BypassCacheNeitherReadsNorStores) {
   EXPECT_EQ(stats.entries, 0u);
 }
 
+// The thread hint applies to every mode: subset, update and update-delta
+// requests pinned to the calling thread (threads = 1) answer bit-identically
+// to the pooled default on a 4-thread engine and to a 1-thread engine.
 TEST(RepairServiceTest, SequentialThreadHintMatchesParallelResult) {
-  ParsedFdSet parsed = Example31Ssn();
-  Table table = ScalingFamilyTable(parsed, 800, 31);
-  RepairService service;
-  RepairRequest parallel = Request(RepairMode::kSubset, parsed.fds, &table);
-  auto from_pool = service.Serve(parallel);
-  ASSERT_TRUE(from_pool.ok()) << from_pool.status();
+  ParsedFdSet ssn = Example31Ssn();
+  Table subset_table = ScalingFamilyTable(ssn, 800, 31);
+  ParsedFdSet office = OfficeFds();
+  Table update_table = ScalingFamilyTable(office, 6000, 73);
+  DeltaBuilder builder(update_table);
+  for (int row = 0; row < update_table.num_tuples(); row += 97) {
+    ASSERT_TRUE(
+        builder.Update(update_table.id(row), 1, "moved" + std::to_string(row))
+            .ok());
+  }
+  const TableDelta delta = builder.Finish();
 
-  RepairService fresh;  // separate service: no cache reuse across the two
-  RepairRequest sequential = Request(RepairMode::kSubset, parsed.fds, &table);
-  sequential.threads = 1;
-  auto inline_run = fresh.Serve(sequential);
-  ASSERT_TRUE(inline_run.ok()) << inline_run.status();
-  ExpectSameRepair(from_pool->repair, inline_run->repair);
+  struct Setup {
+    int engine_threads;
+    int hint;
+  };
+  std::vector<StatusOr<RepairResponse>> subset, update, spliced;
+  for (const Setup setup : {Setup{4, 0}, Setup{4, 1}, Setup{1, 0}}) {
+    RepairServiceOptions options;
+    options.engine.threads = setup.engine_threads;
+    options.engine.parallel_cutoff = 1;  // fan out whenever the pool may
+    RepairService service(options);
+
+    RepairRequest subset_request =
+        Request(RepairMode::kSubset, ssn.fds, &subset_table);
+    subset_request.options.threads = setup.hint;
+    subset.push_back(service.Serve(subset_request));
+
+    RepairRequest update_request =
+        Request(RepairMode::kUpdate, office.fds, &update_table);
+    update_request.options.threads = setup.hint;
+    update.push_back(service.Serve(update_request));
+
+    RepairRequest delta_request =
+        Request(RepairMode::kUpdate, office.fds, &builder.table());
+    delta_request.options.threads = setup.hint;
+    delta_request.delta = &delta;
+    spliced.push_back(service.ApplyDelta(delta_request));
+    EXPECT_EQ(service.stats().udelta_splices, 1u)
+        << "engine threads " << setup.engine_threads << ", hint "
+        << setup.hint;
+  }
+  for (size_t i = 0; i < subset.size(); ++i) {
+    ASSERT_TRUE(subset[i].ok()) << i << ": " << subset[i].status();
+    ASSERT_TRUE(update[i].ok()) << i << ": " << update[i].status();
+    ASSERT_TRUE(spliced[i].ok()) << i << ": " << spliced[i].status();
+    EXPECT_FALSE(spliced[i]->cache_hit);
+    ExpectSameResponse(*subset[0], *subset[i]);
+    ExpectSameResponse(*update[0], *update[i]);
+    ExpectSameResponse(*spliced[0], *spliced[i]);
+  }
 }
 
 TEST(RepairServiceTest, SingleFlightDeduplicatesConcurrentIdenticalRequests) {
@@ -356,7 +408,7 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   // Fill the one queue slot with a request that will time out waiting.
   std::thread queued([&] {
     RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &small_a);
-    request.deadline = milliseconds(300);
+    request.options.deadline = milliseconds(300);
     auto response = service.Serve(request);
     ASSERT_FALSE(response.ok());
     EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
@@ -390,16 +442,41 @@ TEST(RepairServiceTest, ExpiredDeadlineRejectsBeforeExecution) {
   Table table = ScalingFamilyTable(parsed, 5000, 53);
   RepairService service;
   RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
-  request.deadline = milliseconds(0);
+  request.options.deadline = milliseconds(0);
   auto response = service.Serve(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service.stats().rejected_deadline, 1u);
   // The failure was not cached: a follow-up without a deadline succeeds.
-  request.deadline.reset();
+  request.options.deadline.reset();
   auto retry = service.Serve(request);
   ASSERT_TRUE(retry.ok()) << retry.status();
   EXPECT_FALSE(retry->cache_hit);
+}
+
+TEST(RepairServiceTest, ExpiredDeadlineRejectsCacheHit) {
+  ParsedFdSet parsed = OfficeFds();
+  Table table = ScalingFamilyTable(parsed, 500, 57);
+  RepairService service;
+  RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
+  ASSERT_TRUE(service.Serve(request).ok());
+  ASSERT_EQ(service.stats().entries, 1u);
+
+  // A ready entry exists, but the budget is already spent: no replay.
+  request.options.deadline = milliseconds(0);
+  auto expired = service.Serve(request);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  RepairServiceStats stats = service.stats();
+  EXPECT_EQ(stats.rejected_deadline, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+
+  // The entry itself is untouched: a request with budget left replays it.
+  request.options.deadline = milliseconds(60000);
+  auto hit = service.Serve(request);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(service.stats().hits, 1u);
 }
 
 TEST(RepairServiceTest, FollowerDoesNotInheritLeaderDeadlineFailure) {
@@ -417,7 +494,7 @@ TEST(RepairServiceTest, FollowerDoesNotInheritLeaderDeadlineFailure) {
   StatusOr<RepairResponse> patient = Status::Internal("never ran");
   std::thread expired_client([&] {
     RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &table);
-    request.deadline = milliseconds(0);
+    request.options.deadline = milliseconds(0);
     expired = service.Serve(request);
   });
   std::thread patient_client([&] {
@@ -447,7 +524,7 @@ TEST(RepairServiceTest, BackendSelectionRoundTripsAndKeysTheCache) {
   RepairService service;
 
   RepairRequest exact = Request(RepairMode::kSubset, parsed.fds, &table);
-  exact.backend = kSolverIlp;
+  exact.options.backend = kSolverIlp;
   auto miss = service.Serve(exact);
   ASSERT_TRUE(miss.ok()) << miss.status();
   EXPECT_FALSE(miss->cache_hit);
@@ -470,7 +547,7 @@ TEST(RepairServiceTest, BackendSelectionRoundTripsAndKeysTheCache) {
 
   // Same table, different backend: a distinct key, never an aliased hit.
   RepairRequest approx = Request(RepairMode::kSubset, parsed.fds, &table);
-  approx.backend = kSolverLocalRatio;
+  approx.options.backend = kSolverLocalRatio;
   auto other = service.Serve(approx);
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_FALSE(other->cache_hit);
@@ -494,8 +571,8 @@ TEST(RepairServiceTest, MaxRatioGateSurfacesAndIsKeyedSeparately) {
   // The fused approx route certifies only ratio 2 here, so a 1.5 gate
   // rejects with kResourceExhausted — surfaced verbatim by the service.
   RepairRequest gated = Request(RepairMode::kSubset, parsed.fds, &table);
-  gated.backend = kSolverLocalRatio;
-  gated.max_ratio = 1.5;
+  gated.options.backend = kSolverLocalRatio;
+  gated.options.max_ratio = 1.5;
   auto rejected = service.Serve(gated);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
@@ -503,15 +580,15 @@ TEST(RepairServiceTest, MaxRatioGateSurfacesAndIsKeyedSeparately) {
   // The failure was not cached, and the ungated request has its own key:
   // it executes and succeeds.
   RepairRequest ungated = Request(RepairMode::kSubset, parsed.fds, &table);
-  ungated.backend = kSolverLocalRatio;
+  ungated.options.backend = kSolverLocalRatio;
   auto accepted = service.Serve(ungated);
   ASSERT_TRUE(accepted.ok()) << accepted.status();
   EXPECT_FALSE(accepted->cache_hit);
 
   // An exact backend passes the same gate (certified ratio 1).
   RepairRequest exact_gated = Request(RepairMode::kSubset, parsed.fds, &table);
-  exact_gated.backend = kSolverBnb;
-  exact_gated.max_ratio = 1.5;
+  exact_gated.options.backend = kSolverBnb;
+  exact_gated.options.max_ratio = 1.5;
   auto proved = service.Serve(exact_gated);
   ASSERT_TRUE(proved.ok()) << proved.status();
   EXPECT_TRUE(proved->optimal);
@@ -524,12 +601,12 @@ TEST(RepairServiceTest, SolverKnobsRejectedForUpdateMode) {
   RepairService service;
 
   RepairRequest with_backend = Request(RepairMode::kUpdate, parsed.fds, &table);
-  with_backend.backend = kSolverIlp;
+  with_backend.options.backend = kSolverIlp;
   EXPECT_EQ(service.Serve(with_backend).status().code(),
             StatusCode::kInvalidArgument);
 
   RepairRequest with_ratio = Request(RepairMode::kUpdate, parsed.fds, &table);
-  with_ratio.max_ratio = 1.5;
+  with_ratio.options.max_ratio = 1.5;
   EXPECT_EQ(service.Serve(with_ratio).status().code(),
             StatusCode::kInvalidArgument);
 }

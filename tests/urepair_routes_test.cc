@@ -21,10 +21,10 @@
 #include "storage/consistency.h"
 #include "storage/distance.h"
 #include "storage/row_span.h"
+#include "testsupport/reference_routes.h"
 #include "urepair/covers.h"
 #include "urepair/opt_urepair.h"
 #include "urepair/planner.h"
-#include "urepair/reference_routes.h"
 #include "urepair/update.h"
 #include "urepair/urepair_common_lhs.h"
 #include "urepair/urepair_consensus.h"
