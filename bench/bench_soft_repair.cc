@@ -94,14 +94,14 @@ void Report() {
           FDR_CHECK(table.id((*rows)[i]) == result->repair.id(static_cast<int>(i)));
         }
         if (noise == noise_levels.back()) {
-          hard_cost_at_max_noise = result->cost;
+          hard_cost_at_max_noise = result->distance;
         }
       } else if (profile.weight == 0.05 && noise == noise_levels.back()) {
-        light_cost_at_max_noise = result->cost;
+        light_cost_at_max_noise = result->distance;
         light_ms_at_max_noise = ms;
       }
       sweep.AddRow({Num(noise), profile.name,
-                    Num(result->repair.num_tuples()), Num(result->cost),
+                    Num(result->repair.num_tuples()), Num(result->distance),
                     Num(result->deleted_weight), Num(result->violation_cost),
                     result->route});
     }
@@ -139,13 +139,13 @@ void Report() {
     options.backend = backend;
     auto result = ComputeSoftRepair(core_fds, core_table, options);
     FDR_CHECK(result.ok());
-    cores.AddRow({backend, Num(result->cost),
+    cores.AddRow({backend, Num(result->distance),
                   result->optimal ? "yes" : "no",
                   Num(result->achieved_ratio)});
     if (result->optimal) {
-      if (exact_cost < 0) exact_cost = result->cost;
-      FDR_CHECK_MSG(std::abs(result->cost - exact_cost) < 1e-6,
-                    "exact backends disagree: " << result->cost << " vs "
+      if (exact_cost < 0) exact_cost = result->distance;
+      FDR_CHECK_MSG(std::abs(result->distance - exact_cost) < 1e-6,
+                    "exact backends disagree: " << result->distance << " vs "
                                                 << exact_cost);
     }
   }

@@ -1,7 +1,5 @@
 #include "database/database.h"
 
-#include <algorithm>
-
 #include "storage/consistency.h"
 
 namespace fdrepair {
@@ -39,38 +37,40 @@ bool Database::Consistent() const {
   return true;
 }
 
-StatusOr<DatabaseSRepairResult> RepairDatabaseSubsets(
-    const Database& database, const SRepairOptions& options) {
-  DatabaseSRepairResult result;
-  result.optimal = true;
+namespace {
+
+/// Repairs each relation with `repair(fds, table)` and folds the
+/// per-relation provenance into the database total.
+template <typename Result, typename Repair>
+StatusOr<DatabaseRepairResult<Result>> RepairEachRelation(
+    const Database& database, const Repair& repair) {
+  DatabaseRepairResult<Result> result;
+  std::vector<RepairProvenance> parts;
   for (const Relation& relation : database.relations()) {
-    FDR_ASSIGN_OR_RETURN(SRepairResult repaired,
-                         ComputeSRepair(relation.fds, relation.table,
-                                        options));
-    result.total_distance += repaired.distance;
-    result.optimal = result.optimal && repaired.optimal;
-    result.ratio_bound = std::max(result.ratio_bound, repaired.ratio_bound);
+    FDR_ASSIGN_OR_RETURN(Result repaired, repair(relation.fds, relation.table));
+    parts.push_back(repaired);
     result.per_relation.emplace_back(relation.name, std::move(repaired));
   }
-  if (result.optimal) result.ratio_bound = 1;
+  static_cast<RepairProvenance&>(result) = FoldIndependent(parts);
   return result;
+}
+
+}  // namespace
+
+StatusOr<DatabaseSRepairResult> RepairDatabaseSubsets(
+    const Database& database, const SRepairOptions& options) {
+  return RepairEachRelation<SRepairResult>(
+      database, [&](const FdSet& fds, const Table& table) {
+        return ComputeSRepair(fds, table, options);
+      });
 }
 
 StatusOr<DatabaseURepairResult> RepairDatabaseUpdates(
     const Database& database, const URepairOptions& options) {
-  DatabaseURepairResult result;
-  result.optimal = true;
-  for (const Relation& relation : database.relations()) {
-    FDR_ASSIGN_OR_RETURN(URepairResult repaired,
-                         ComputeURepair(relation.fds, relation.table,
-                                        options));
-    result.total_distance += repaired.distance;
-    result.optimal = result.optimal && repaired.optimal;
-    result.ratio_bound = std::max(result.ratio_bound, repaired.ratio_bound);
-    result.per_relation.emplace_back(relation.name, std::move(repaired));
-  }
-  if (result.optimal) result.ratio_bound = 1;
-  return result;
+  return RepairEachRelation<URepairResult>(
+      database, [&](const FdSet& fds, const Table& table) {
+        return ComputeURepair(fds, table, options);
+      });
 }
 
 }  // namespace fdrepair

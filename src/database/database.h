@@ -41,27 +41,19 @@ class Database {
   std::vector<Relation> relations_;
 };
 
-/// A per-relation subset-repair outcome plus database-level totals.
-struct DatabaseSRepairResult {
-  std::vector<std::pair<std::string, SRepairResult>> per_relation;
-  double total_distance = 0;
-  /// True iff every relation's repair is provably optimal; then the
-  /// database repair is optimal too (relations are independent).
-  bool optimal = false;
-  /// max over relations of the per-relation ratio bound.
-  double ratio_bound = 1;
+/// Per-relation repairs; the inherited provenance is their FoldIndependent
+/// total (relations are independent, so distances add and the database
+/// repair is optimal iff every relation's is).
+template <typename Result>
+struct DatabaseRepairResult : RepairProvenance {
+  std::vector<std::pair<std::string, Result>> per_relation;
 };
+using DatabaseSRepairResult = DatabaseRepairResult<SRepairResult>;
+using DatabaseURepairResult = DatabaseRepairResult<URepairResult>;
 
 /// Repairs every relation by tuple deletions (§3 machinery per relation).
 StatusOr<DatabaseSRepairResult> RepairDatabaseSubsets(
     const Database& database, const SRepairOptions& options = {});
-
-struct DatabaseURepairResult {
-  std::vector<std::pair<std::string, URepairResult>> per_relation;
-  double total_distance = 0;
-  bool optimal = false;
-  double ratio_bound = 1;
-};
 
 /// Repairs every relation by value updates (§4 machinery per relation).
 StatusOr<DatabaseURepairResult> RepairDatabaseUpdates(

@@ -17,7 +17,10 @@ using Clock = std::chrono::steady_clock;
 /// a bad combination always fails the same way, with kInvalidArgument.
 /// Returns the effective FD cover: the soft-weight profile applied, then
 /// canonicalized (the weight-preserving cover of catalog/fdset.h).
-StatusOr<FdSet> ResolveRequest(const RepairRequest& request) {
+/// `service_backend` is the service-wide backend that subset and soft
+/// requests naming none run under; it is checked like a requested one.
+StatusOr<FdSet> ResolveRequest(const RepairRequest& request,
+                               const std::string& service_backend) {
   if (request.table == nullptr) {
     return Status::InvalidArgument("RepairRequest.table is null");
   }
@@ -67,15 +70,17 @@ StatusOr<FdSet> ResolveRequest(const RepairRequest& request) {
         "weights)");
   }
   FdSet cover = effective.CanonicalCover();
-  if (!options.backend.empty()) {
-    const SolverBackend* backend = FindSolverBackend(options.backend);
+  const std::string& backend_name =
+      options.backend.empty() ? service_backend : options.backend;
+  if (solver_mode && !backend_name.empty()) {
+    const SolverBackend* backend = FindSolverBackend(backend_name);
     if (backend == nullptr) {
       return Status::InvalidArgument("unknown solver backend '" +
-                                     options.backend + "'");
+                                     backend_name + "'");
     }
     if (cover.HasSoftFds() && !backend->soft_capable()) {
       return Status::InvalidArgument(
-          "solver backend '" + options.backend +
+          "solver backend '" + backend_name +
           "' cannot solve soft-cover instances (finite-weight violations "
           "survive canonicalization); pick a soft-capable backend "
           "(local-ratio, bnb, ilp)");
@@ -261,17 +266,11 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     }
     FDR_ASSIGN_OR_RETURN(SRepairResult result,
                          ComputeSRepair(cover, table, srepair));
-    cached.kept_ids = KeptIds(result.repair);
-    cached.distance = result.distance;
-    cached.optimal = result.optimal;
-    cached.ratio_bound = result.ratio_bound;
-    cached.route = SRepairAlgorithmToString(result.algorithm);
+    static_cast<RepairProvenance&>(cached) = result;
     if (request.mode == RepairMode::kSoft) {
       cached.route = "soft[" + cached.route + "]";
     }
-    cached.backend = result.backend;
-    cached.lower_bound = result.lower_bound;
-    cached.achieved_ratio = result.achieved_ratio;
+    cached.kept_ids = KeptIds(result.repair);
     if (plan->spliceable) cached.plan = std::move(plan);
     *materialized = std::move(result.repair);
     return cached;
@@ -282,7 +281,8 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     // soft-capable solver backends). Its recursion is sequential, so the
     // threads hint is moot — responses are identical at every setting.
     SoftRepairOptions soptions;
-    soptions.backend = options.backend;
+    soptions.backend = options.backend.empty() ? options_.srepair.backend
+                                               : options.backend;
     soptions.exact_guard = options_.srepair.exact_guard;
     soptions.node_budget = options_.srepair.node_budget;
     soptions.max_ratio = options.max_ratio > 0 ? options.max_ratio
@@ -290,16 +290,8 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     soptions.exec = exec;
     FDR_ASSIGN_OR_RETURN(SoftRepairResult result,
                          ComputeSoftRepair(cover, table, soptions));
+    static_cast<RepairProvenance&>(cached) = result;
     cached.kept_ids = KeptIds(result.repair);
-    // `distance` carries the full soft objective (deleted weight plus
-    // violation cost) — the quantity the planner minimized.
-    cached.distance = result.cost;
-    cached.optimal = result.optimal;
-    cached.ratio_bound = result.ratio_bound;
-    cached.route = result.route;
-    cached.backend = result.backend;
-    cached.lower_bound = result.lower_bound;
-    cached.achieved_ratio = result.achieved_ratio;
     *materialized = std::move(result.repair);
     return cached;
   }
@@ -329,16 +321,8 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     result = OptURepairCells(cover, table, uoptions, uplan.get());
   }
   if (!result.ok()) return result.status();
+  static_cast<RepairProvenance&>(cached) = *result;
   cached.edits = std::move(result->edits);
-  cached.distance = result->distance;
-  cached.optimal = result->optimal;
-  cached.ratio_bound = result->ratio_bound;
-  std::string routes;
-  for (const URepairComponentPlan& component : result->plan.components) {
-    if (!routes.empty()) routes += ",";
-    routes += URepairRouteToString(component.route);
-  }
-  cached.route = "urepair[" + (routes.empty() ? "noop" : routes) + "]";
   if (uplan->spliceable) cached.uplan = std::move(uplan);
   // Materialize the leader's response exactly as a replay would: one
   // shared code path keeps leader, followers and hits bit-identical.
@@ -357,21 +341,13 @@ StatusOr<Table> RepairService::CachedRepair::Materialize(
     }
     return table.SubsetByRows(rows);
   }
-  Table update = table.Clone();
-  for (const URepairCellEdit& edit : edits) {
-    FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
-  }
-  return update;
+  return ApplyCellEdits(table, edits);
 }
 
 RepairResponse RepairService::CachedRepair::Respond(Table repair,
                                                     bool cache_hit,
                                                     uint64_t key) const {
-  return RepairResponse{std::move(repair), distance,       optimal,
-                        ratio_bound,       route,          backend,
-                        lower_bound,       achieved_ratio, cache_hit,
-                        key};
+  return RepairResponse{*this, std::move(repair), cache_hit, key};
 }
 
 void RepairService::Publish(uint64_t key, const std::shared_ptr<Entry>& entry,
@@ -411,7 +387,8 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
   const Clock::time_point admitted = Clock::now();
   // All request validation — mode/option mismatches, weight application
   // and cover canonicalization — lives in ResolveRequest.
-  FDR_ASSIGN_OR_RETURN(const FdSet cover, ResolveRequest(request));
+  FDR_ASSIGN_OR_RETURN(const FdSet cover,
+                       ResolveRequest(request, options_.srepair.backend));
   const RepairOptions& options = request.options;
   const std::optional<Clock::time_point> deadline =
       AbsoluteDeadline(options, admitted);

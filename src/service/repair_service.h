@@ -48,6 +48,7 @@
 #include "catalog/fdset.h"
 #include "common/status.h"
 #include "engine/repair_engine.h"
+#include "storage/distance.h"
 #include "storage/table.h"
 #include "storage/table_delta.h"
 #include "urepair/opt_urepair.h"
@@ -128,23 +129,15 @@ struct RepairRequest {
   const TableDelta* delta = nullptr;
 };
 
-struct RepairResponse {
+/// A served repair with its provenance (storage/distance.h): distance is
+/// dist_sub / dist_upd to the request table, or the soft objective in soft
+/// mode; backend is empty on the polynomial route and for update repairs.
+/// Every mode carries a truthful certificate — an approximate update
+/// repair's lower bound is distance / ratio_bound, its a-priori ratio α
+/// proving OPT >= distance / α.
+struct RepairResponse : RepairProvenance {
   /// The repaired table, over the request table's schema and pool.
   Table repair;
-  /// dist_sub / dist_upd to the request table.
-  double distance = 0;
-  /// True iff provably optimal; `ratio_bound` as for the planners.
-  bool optimal = false;
-  double ratio_bound = 1;
-  /// Human-readable route ("OptSRepair", "urepair[consensus-plurality]"...).
-  std::string route;
-  /// Solver provenance for subset repairs: the backend registry name
-  /// (empty on the polynomial route and for update repairs), the proved
-  /// lower bound on the optimal distance, and the certified ratio
-  /// distance / lower_bound (see SRepairResult).
-  std::string backend;
-  double lower_bound = 0;
-  double achieved_ratio = 1;
   /// True when this response was replayed from the cache (including
   /// single-flight followers); false when this call ran the planner.
   bool cache_hit = false;
@@ -238,7 +231,7 @@ class RepairService {
  private:
   /// The cached recipe: enough to replay a repair against any table with
   /// the same content hash, without storing the table itself.
-  struct CachedRepair {
+  struct CachedRepair : RepairProvenance {
     RepairMode mode = RepairMode::kSubset;
     /// kSubset/kSoft: surviving tuple ids, in the repair's row order.
     std::vector<TupleId> kept_ids;
@@ -258,13 +251,6 @@ class RepairService {
     /// "'" (value_pool.h), so the final text additionally depends on that
     /// colliding user content — identical tables still agree on it.
     std::vector<URepairCellEdit> edits;
-    double distance = 0;
-    bool optimal = false;
-    double ratio_bound = 1;
-    std::string route;
-    std::string backend;
-    double lower_bound = 0;
-    double achieved_ratio = 1;
     /// kSubset, polynomial route only: the captured top-level plan
     /// (always spliceable when present), the seed for delta re-repairs of
     /// this entry's table state. shared_ptr so delta executions can pin it

@@ -53,8 +53,6 @@ const char* SRepairAlgorithmToString(SRepairAlgorithm algorithm) {
 
 namespace {
 
-constexpr double kEps = 1e-9;
-
 /// kAuto's ILP fallback self-limits so oversized hard instances degrade to
 /// the (factor-2) incumbent instead of searching without bound. Structured
 /// near-clean instances prove optimality in tens of nodes thanks to the NT
@@ -75,14 +73,6 @@ SRepairAlgorithm AlgorithmForBackend(const SolverBackend& backend) {
   return backend.exact() ? SRepairAlgorithm::kIlpBranchAndBound
                          : SRepairAlgorithm::kVertexCover2Approx;
 }
-
-/// The outcome of a hard-side solve, in table terms.
-struct HardSolve {
-  std::vector<int> kept_rows;  // sorted dense row positions
-  double lower_bound = 0;      // proved lower bound on the deletion weight
-  bool optimal = false;
-  double ratio_bound = 2.0;  // the backend's a-priori guarantee
-};
 
 /// The conflict graph restricted to its conflicted core (tuples with at
 /// least one conflict) — the only part a cover solver explores; isolated
@@ -111,29 +101,26 @@ struct ConflictedCore {
 };
 
 /// Runs a cover backend on the conflicted core and complements back to
-/// kept rows. Non-optimal covers go through the greedy restore so no
-/// deletable weight is stranded (restoring after a *minimum* cover is a
-/// no-op by ⊆-maximality, so the optimal path skips it).
-StatusOr<HardSolve> SolveHardRows(const SolverBackend& backend,
-                                  const FdSet& fds, const TableView& view,
-                                  const ConflictedCore& cc,
-                                  const SolverExec& exec) {
-  FDR_ASSIGN_OR_RETURN(SolverCover cover, backend.SolveCover(cc.graph, exec));
+/// sorted kept rows; *cover receives the solver's certificate.
+/// Non-optimal covers go through the greedy restore so no deletable weight
+/// is stranded (restoring after a *minimum* cover is a no-op by
+/// ⊆-maximality, so the optimal path skips it).
+StatusOr<std::vector<int>> SolveHardRows(const SolverBackend& backend,
+                                         const FdSet& fds,
+                                         const TableView& view,
+                                         const ConflictedCore& cc,
+                                         const SolverExec& exec,
+                                         SolverCover* cover) {
+  FDR_ASSIGN_OR_RETURN(*cover, backend.SolveCover(cc.graph, exec));
   std::vector<char> deleted(view.num_tuples(), 0);
-  for (int c : cover.cover) deleted[cc.core[c]] = 1;
+  for (int c : cover->cover) deleted[cc.core[c]] = 1;
   std::vector<int> kept;
   for (int i = 0; i < view.num_tuples(); ++i) {
     if (!deleted[i]) kept.push_back(view.row(i));
   }
-  HardSolve out;
-  out.kept_rows = cover.optimal
-                      ? std::move(kept)
-                      : RestoreConsistentRows(fds, view, std::move(kept));
-  std::sort(out.kept_rows.begin(), out.kept_rows.end());
-  out.lower_bound = cover.lower_bound;
-  out.optimal = cover.optimal;
-  out.ratio_bound = cover.ratio_bound;
-  return out;
+  if (!cover->optimal) kept = RestoreConsistentRows(fds, view, std::move(kept));
+  std::sort(kept.begin(), kept.end());
+  return kept;
 }
 
 }  // namespace
@@ -147,34 +134,20 @@ StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
   }
   SRepairVerdict verdict = ClassifySRepair(fds);
 
-  auto finish = [&](Table repair, bool optimal, double ratio,
-                    SRepairAlgorithm algorithm, std::string backend_name,
-                    double lower_bound) -> StatusOr<SRepairResult> {
+  // `solver` is null on the polynomial OptSRepair route.
+  auto finish = [&](const std::vector<int>& kept_rows, bool optimal,
+                    double ratio, double lower_bound,
+                    const SolverBackend* solver) -> StatusOr<SRepairResult> {
+    Table repair = table.SubsetByRows(kept_rows);
     FDR_ASSIGN_OR_RETURN(double distance, DistSub(repair, table));
-    const double proved = optimal ? distance : lower_bound;
-    const double achieved =
-        proved > kEps ? std::max(1.0, distance / proved) : 1.0;
-    SRepairResult result{std::move(repair),
-                         distance,
-                         optimal,
-                         optimal ? 1.0 : ratio,
-                         algorithm,
-                         std::move(backend_name),
-                         proved,
-                         achieved,
-                         std::move(verdict)};
-    if (options.max_ratio > 0) {
-      // The certified per-instance ratio can beat the a-priori bound, so
-      // the quality gate accepts whichever certificate is stronger.
-      const double certified =
-          std::min(result.ratio_bound, result.achieved_ratio);
-      if (certified > options.max_ratio + kEps) {
-        return Status::ResourceExhausted(
-            "repair certified only within ratio " + std::to_string(certified) +
-            ", above the requested max_ratio " +
-            std::to_string(options.max_ratio));
-      }
-    }
+    const SRepairAlgorithm algorithm = solver != nullptr
+                                           ? AlgorithmForBackend(*solver)
+                                           : SRepairAlgorithm::kOptSRepair;
+    SRepairResult result{Certify(distance, optimal, ratio, lower_bound),
+                         std::move(repair), algorithm, std::move(verdict)};
+    result.route = SRepairAlgorithmToString(algorithm);
+    if (solver != nullptr) result.backend = solver->name();
+    FDR_RETURN_IF_ERROR(CheckMaxRatio(result, options.max_ratio));
     return result;
   };
 
@@ -218,8 +191,7 @@ StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
       rows = OptSRepairRows(fds, view, row_options, options.capture);
     }
     FDR_RETURN_IF_ERROR(rows.status());
-    return finish(table.SubsetByRows(*rows), true, 1.0,
-                  SRepairAlgorithm::kOptSRepair, "", 0);
+    return finish(*rows, true, 1.0, 0, nullptr);
   }
 
   if (backend != nullptr && backend->has_fused_rows()) {
@@ -227,13 +199,11 @@ StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
     // graph; it reports its local-ratio burn as the lower bound. Flags
     // match the historical approximate route: never claimed optimal,
     // a-priori factor 2.
-    HardSolve solve;
+    double lower_bound = 0;
     FDR_ASSIGN_OR_RETURN(
-        solve.kept_rows,
-        backend->SolveRowsFused(fds, view, solver_exec, &solve.lower_bound));
-    return finish(table.SubsetByRows(solve.kept_rows), false, 2.0,
-                  AlgorithmForBackend(*backend), backend->name(),
-                  solve.lower_bound);
+        std::vector<int> kept_rows,
+        backend->SolveRowsFused(fds, view, solver_exec, &lower_bound));
+    return finish(kept_rows, false, 2.0, lower_bound, backend);
   }
 
   const ConflictedCore cc(fds, view);
@@ -253,9 +223,11 @@ StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
     FDR_CHECK(backend != nullptr);
   }
 
+  SolverCover cover;
   FDR_ASSIGN_OR_RETURN(
-      HardSolve solve, SolveHardRows(*backend, fds, view, cc, solver_exec));
-  if (!solve.optimal && options.strategy == SRepairStrategy::kExactOnly) {
+      std::vector<int> kept_rows,
+      SolveHardRows(*backend, fds, view, cc, solver_exec, &cover));
+  if (!cover.optimal && options.strategy == SRepairStrategy::kExactOnly) {
     if (solver_exec.expired()) {
       return Status::DeadlineExceeded(
           "S-repair deadline expired before optimality was proved");
@@ -263,9 +235,8 @@ StatusOr<SRepairResult> ComputeSRepair(const FdSet& fds, const Table& table,
     return Status::ResourceExhausted(
         "solver node budget exhausted before optimality was proved");
   }
-  return finish(table.SubsetByRows(solve.kept_rows), solve.optimal,
-                solve.ratio_bound, AlgorithmForBackend(*backend),
-                backend->name(), solve.lower_bound);
+  return finish(kept_rows, cover.optimal, cover.ratio_bound,
+                cover.lower_bound, backend);
 }
 
 }  // namespace fdrepair

@@ -119,24 +119,13 @@ enum class SRepairAlgorithm {
 
 const char* SRepairAlgorithmToString(SRepairAlgorithm algorithm);
 
-struct SRepairResult {
+/// A subset repair with its provenance: distance = dist_sub(repair, T);
+/// route = SRepairAlgorithmToString(algorithm); backend = the solver's
+/// registry name (empty on the polynomial OptSRepair route); lower_bound
+/// = the dual packing or LP value when not optimal.
+struct SRepairResult : RepairProvenance {
   Table repair;
-  /// dist_sub(repair, T).
-  double distance = 0;
-  /// True iff `repair` is provably an *optimal* S-repair.
-  bool optimal = false;
-  /// A-priori upper bound on distance / optimal distance (1 when optimal).
-  double ratio_bound = 1;
   SRepairAlgorithm algorithm = SRepairAlgorithm::kOptSRepair;
-  /// Solver provenance: the registry name of the backend that produced the
-  /// repair (empty on the polynomial OptSRepair route).
-  std::string backend;
-  /// Proved lower bound on the optimal distance (equals `distance` when
-  /// optimal; the dual packing or LP value otherwise).
-  double lower_bound = 0;
-  /// distance / lower_bound — the per-instance certified ratio, usually
-  /// far below ratio_bound (1 when optimal).
-  double achieved_ratio = 1;
   SRepairVerdict verdict;
 };
 

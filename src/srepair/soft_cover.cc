@@ -18,16 +18,16 @@ constexpr long kDeadlineCheckInterval = 128;
 
 bool IsHardEdge(double penalty) { return penalty == kHardFdWeight; }
 
-/// Evaluates a deletion set: node weight, paid penalties, totals.
+/// Evaluates a deletion set: node weight and paid penalties.
 void Score(const NodeWeightedGraph& graph, const std::vector<double>& penalties,
-           const std::vector<char>& deleted, SoftCoverResult* out) {
+           const std::vector<char>& deleted, SolverCover* out) {
   out->cover.clear();
-  out->node_weight = 0;
+  out->weight = 0;
   out->penalty = 0;
   for (int v = 0; v < graph.num_nodes(); ++v) {
     if (deleted[v]) {
       out->cover.push_back(v);
-      out->node_weight += graph.weight(v);
+      out->weight += graph.weight(v);
     }
   }
   const auto& edges = graph.edges();
@@ -36,7 +36,6 @@ void Score(const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       out->penalty += penalties[e];
     }
   }
-  out->total = out->node_weight + out->penalty;
 }
 
 /// Greedily un-deletes nodes (heaviest first) whose return is feasible
@@ -254,8 +253,8 @@ double HardSubgraphLpBound(const NodeWeightedGraph& graph,
 
 }  // namespace
 
-SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
-                                    const std::vector<double>& penalties) {
+SolverCover SoftCoverLocalRatio(const NodeWeightedGraph& graph,
+                                const std::vector<double>& penalties) {
   FDR_CHECK_MSG(static_cast<int>(penalties.size()) == graph.num_edges(),
                 "penalties misaligned with graph edges");
   const int n = graph.num_nodes();
@@ -280,21 +279,20 @@ SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
   }
   auto incident = BuildIncident(graph);
   ImproveByRestoring(graph, penalties, incident, &deleted);
-  SoftCoverResult out;
+  SolverCover out;
   Score(graph, penalties, deleted, &out);
   out.lower_bound = burn;
-  out.optimal = out.total <= burn + kPruneEps;
+  out.optimal = out.weight + out.penalty <= burn + kPruneEps;
   out.ratio_bound = out.optimal ? 1.0 : 3.0;
   return out;
 }
 
-SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
-                                        const std::vector<double>& penalties,
-                                        const SolverExec& exec,
-                                        bool use_lp_bound) {
+SolverCover SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
+                                    const std::vector<double>& penalties,
+                                    const SolverExec& exec, bool use_lp_bound) {
   FDR_CHECK_MSG(static_cast<int>(penalties.size()) == graph.num_edges(),
                 "penalties misaligned with graph edges");
-  SoftCoverResult seed = SoftCoverLocalRatio(graph, penalties);
+  SolverCover seed = SoftCoverLocalRatio(graph, penalties);
   if (seed.optimal) {
     // The primal-dual pass met its own lower bound; no search needed.
     return seed;
@@ -308,9 +306,9 @@ SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
   if (use_lp_bound) {
     root_bound = std::max(root_bound, HardSubgraphLpBound(graph, penalties));
   }
-  search.Run(seed_deleted, seed.total);
+  search.Run(seed_deleted, seed.weight + seed.penalty);
 
-  SoftCoverResult out;
+  SolverCover out;
   std::vector<char> deleted = search.best_deleted();
   if (!search.completed()) {
     // Truncated: the incumbent may carry slack a restore pass removes.
@@ -319,8 +317,8 @@ SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
   Score(graph, penalties, deleted, &out);
   out.nodes = search.nodes();
   out.optimal = search.completed();
-  out.lower_bound = out.optimal ? out.total : std::max(root_bound,
-                                                       seed.lower_bound);
+  out.lower_bound = out.optimal ? out.weight + out.penalty
+                                : std::max(root_bound, seed.lower_bound);
   out.ratio_bound = out.optimal ? 1.0 : 3.0;
   return out;
 }

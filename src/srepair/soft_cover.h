@@ -28,34 +28,18 @@
 
 namespace fdrepair {
 
-/// A soft-cover solution with provenance. `cover` lists the deleted nodes;
-/// every edge not touched by it is uncovered and pays its penalty.
-struct SoftCoverResult {
-  std::vector<int> cover;
-  /// Σ node weights of `cover`.
-  double node_weight = 0;
-  /// Σ penalties of the uncovered (necessarily soft) edges.
-  double penalty = 0;
-  /// node_weight + penalty — the objective value.
-  double total = 0;
-  /// Proved lower bound on the optimal objective (burn / LP; equals
-  /// `total` when optimal).
-  double lower_bound = 0;
-  bool optimal = false;
-  /// A-priori guarantee: total <= ratio_bound · optimum.
-  double ratio_bound = 3.0;
-  /// Branch nodes expanded (0 for the primal-dual pass).
-  long nodes = 0;
-};
-
+/// Both solvers return a SolverCover (srepair/solver_backend.h): `cover`
+/// lists the deleted nodes, every edge it leaves untouched is uncovered and
+/// pays its penalty, and weight + penalty is the objective.
+///
 /// The local-ratio primal-dual 3-approximation: one pass over the edges in
 /// index order burning the 3-ary constraints, then a greedy improvement
 /// pass that un-deletes nodes whose weight exceeds the penalties their
 /// return would incur (never breaking a hard edge). Deterministic; O(n·m)
 /// worst case from the improvement pass. `penalties` aligns with
 /// graph.edges(); kHardFdWeight marks a hard edge.
-SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
-                                    const std::vector<double>& penalties);
+SolverCover SoftCoverLocalRatio(const NodeWeightedGraph& graph,
+                                const std::vector<double>& penalties);
 
 /// Exact branch and bound over per-node keep/delete decisions. Keeping a
 /// node force-deletes its undecided hard neighbors and prices its soft
@@ -68,10 +52,9 @@ SoftCoverResult SoftCoverLocalRatio(const NodeWeightedGraph& graph,
 /// subgraph (graph/vc_lp.h) — the "ilp" flavor, strictly stronger on
 /// hard-dominated instances. Exact (optimal = true) when the search
 /// completes.
-SoftCoverResult SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
-                                        const std::vector<double>& penalties,
-                                        const SolverExec& exec,
-                                        bool use_lp_bound);
+SolverCover SoftCoverBranchAndBound(const NodeWeightedGraph& graph,
+                                    const std::vector<double>& penalties,
+                                    const SolverExec& exec, bool use_lp_bound);
 
 }  // namespace fdrepair
 

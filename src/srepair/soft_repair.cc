@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,27 +13,16 @@
 namespace fdrepair {
 namespace {
 
-constexpr double kEps = 1e-9;
 /// Auto-routed "ilp" cores self-limit exactly like the hard planner's
 /// kAuto fallback (planner.cc): structured instances prove optimality in
 /// tens of nodes; dense ones degrade to the factor-3 incumbent.
 constexpr long kAutoSoftNodeBudget = 2000;
 
-/// Accumulated provenance across the peel recursion.
+/// What the peel recursion accumulates: the independent cores'
+/// certificates, folded into the result's provenance at the end.
 struct SoftAggregate {
-  double lower_bound = 0;
-  bool optimal = true;
-  double ratio_bound = 1.0;
   int peels = 0;
-  int cores = 0;
-  std::vector<std::string> backends;  // unique, in first-use order
-
-  void NoteBackend(const std::string& name) {
-    for (const std::string& seen : backends) {
-      if (seen == name) return;
-    }
-    backends.push_back(name);
-  }
+  std::vector<RepairProvenance> cores;
 };
 
 /// One violating pair's accumulated price: hard if any hard FD fires on
@@ -101,7 +89,6 @@ Status SolveSoftCore(const FdSet& fds, const TableView& view,
     std::sort(out->kept.begin(), out->kept.end());
     return Status::OK();
   }
-  ++agg->cores;
   // Conflicted core: only nodes with at least one violating pair matter;
   // isolated tuples are always kept for free.
   std::vector<int> core;
@@ -144,10 +131,13 @@ Status SolveSoftCore(const FdSet& fds, const TableView& view,
   FDR_CHECK(backend != nullptr);
   FDR_ASSIGN_OR_RETURN(SolverCover cover,
                        backend->SolveSoftCover(graph, penalties, exec));
-  agg->NoteBackend(backend->name());
-  agg->lower_bound += cover.lower_bound;
-  agg->optimal = agg->optimal && cover.optimal;
-  agg->ratio_bound = std::max(agg->ratio_bound, cover.ratio_bound);
+  RepairProvenance core_provenance;
+  core_provenance.distance = cover.weight + cover.penalty;
+  core_provenance.optimal = cover.optimal;
+  core_provenance.ratio_bound = cover.ratio_bound;
+  core_provenance.lower_bound = cover.lower_bound;
+  core_provenance.backend = backend->name();
+  agg->cores.push_back(std::move(core_provenance));
 
   std::vector<char> deleted(view.num_tuples(), 0);
   for (int c : cover.cover) deleted[core[c]] = 1;
@@ -229,17 +219,9 @@ StatusOr<SoftRepairResult> ComputeSoftRepair(const FdSet& fds,
     FDR_ASSIGN_OR_RETURN(SRepairResult result,
                          ComputeSRepair(fds, table, sub));
     SoftRepairResult out{std::move(result.repair)};
-    out.cost = result.distance;
-    out.deleted_weight = result.distance;
-    out.violation_cost = 0;
-    out.optimal = result.optimal;
-    out.ratio_bound = result.ratio_bound;
-    out.route =
-        std::string("soft[") + SRepairAlgorithmToString(result.algorithm) +
-        "]";
-    out.backend = result.backend;
-    out.lower_bound = result.lower_bound;
-    out.achieved_ratio = result.achieved_ratio;
+    static_cast<RepairProvenance&>(out) = std::move(result);
+    out.route = "soft[" + out.route + "]";
+    out.deleted_weight = out.distance;
     return out;
   }
 
@@ -251,31 +233,16 @@ StatusOr<SoftRepairResult> ComputeSoftRepair(const FdSet& fds,
   SoftRepairResult out{table.SubsetByRows(solve.kept)};
   FDR_ASSIGN_OR_RETURN(out.deleted_weight, DistSub(out.repair, table));
   out.violation_cost = SoftViolationCost(fds, TableView(out.repair));
-  out.cost = out.deleted_weight + out.violation_cost;
-  out.optimal = agg.optimal;
-  out.ratio_bound = agg.optimal ? 1.0 : agg.ratio_bound;
-  const double proved = agg.optimal ? out.cost : agg.lower_bound;
-  out.lower_bound = proved;
-  out.achieved_ratio =
-      proved > kEps ? std::max(1.0, out.cost / proved) : 1.0;
-  {
-    std::ostringstream route;
-    route << "soft[peels=" << agg.peels << ",cores=" << agg.cores << "]";
-    out.route = route.str();
-  }
-  for (const std::string& name : agg.backends) {
-    if (!out.backend.empty()) out.backend += "+";
-    out.backend += name;
-  }
-  if (options.max_ratio > 0) {
-    const double certified = std::min(out.ratio_bound, out.achieved_ratio);
-    if (certified > options.max_ratio + kEps) {
-      return Status::ResourceExhausted(
-          "repair certified only within ratio " + std::to_string(certified) +
-          ", above the requested max_ratio " +
-          std::to_string(options.max_ratio));
-    }
-  }
+  // The cores are independent, so their folded certificate bounds the
+  // whole soft objective, which is recomputed over the assembled repair.
+  const RepairProvenance cores = FoldIndependent(agg.cores);
+  static_cast<RepairProvenance&>(out) =
+      Certify(out.deleted_weight + out.violation_cost, cores.optimal,
+              cores.ratio_bound, cores.lower_bound);
+  out.route = "soft[peels=" + std::to_string(agg.peels) +
+              ",cores=" + std::to_string(agg.cores.size()) + "]";
+  out.backend = cores.backend;
+  FDR_RETURN_IF_ERROR(CheckMaxRatio(out, options.max_ratio));
   return out;
 }
 

@@ -62,42 +62,28 @@ struct SoftRepairOptions {
   /// the hard planner's kAuto).
   long node_budget = -1;
   /// When > 0: fail with kResourceExhausted unless the certified ratio
-  /// (min of the a-priori bound and cost / proved lower bound) is at most
-  /// this. 0 disables the gate.
+  /// (min of the a-priori bound and distance / proved lower bound) is at
+  /// most this. 0 disables the gate.
   double max_ratio = 0;
   /// Deadline (cooperative, all routes) and — on the all-hard delegation
   /// path only — the thread pool for the span recursion's block fan-out.
   OptSRepairExec exec;
 };
 
-struct SoftRepairResult {
+/// A soft repair with its provenance: distance = deleted_weight +
+/// violation_cost, the soft objective; ratio_bound is 3 from the soft
+/// local-ratio template when not optimal, 2 on the all-hard delegation
+/// path's approximate routes; route is "soft[<subset route>]" on the
+/// all-hard delegation path, "soft[peels=<p>,cores=<c>]" otherwise.
+struct SoftRepairResult : RepairProvenance {
   explicit SoftRepairResult(Table repair_in) : repair(std::move(repair_in)) {}
 
   /// The kept subset, over the input table's schema and pool.
   Table repair;
-  /// deleted_weight + violation_cost — the soft objective.
-  double cost = 0;
   /// Σ weights of the deleted tuples (= dist_sub(repair, table)).
   double deleted_weight = 0;
   /// Σ ω(φ) · #violating pairs of φ inside the repair, over soft FDs.
   double violation_cost = 0;
-  /// True iff `cost` is provably minimal.
-  bool optimal = false;
-  /// A-priori guarantee: cost <= ratio_bound · optimum (1 when optimal;
-  /// 3 from the soft local-ratio template otherwise, 2 on the all-hard
-  /// delegation path's approximate routes).
-  double ratio_bound = 1;
-  /// Human-readable route: "soft[<subset route>]" on the all-hard
-  /// delegation path, "soft[peels=<p>,cores=<c>]" otherwise.
-  std::string route;
-  /// Registry names of the solver backends that ran, "+"-joined when
-  /// different cores routed differently (empty: no core needed solving).
-  std::string backend;
-  /// Proved lower bound on the optimal cost (equals `cost` when optimal).
-  double lower_bound = 0;
-  /// cost / lower_bound, the per-instance certified ratio (1 when
-  /// optimal).
-  double achieved_ratio = 1;
 };
 
 /// Plans and executes a soft repair of `table` under ∆. All-hard ∆

@@ -14,18 +14,6 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-SolverCover FromSoftResult(SoftCoverResult result) {
-  SolverCover out;
-  out.cover = std::move(result.cover);
-  out.weight = result.node_weight;
-  out.penalty = result.penalty;
-  out.lower_bound = result.lower_bound;
-  out.optimal = result.optimal;
-  out.ratio_bound = result.ratio_bound;
-  out.nodes = result.nodes;
-  return out;
-}
-
 /// "local-ratio": Bar-Yehuda–Even on the explicit graph, or — preferred by
 /// the planner — the fused table-level route that never materializes the
 /// Θ(n²) edge set. Both report the local-ratio burn (a feasible edge
@@ -54,7 +42,7 @@ class LocalRatioBackend : public SolverBackend {
       const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       const SolverExec& exec) const override {
     (void)exec;  // one pass; nothing to interrupt
-    return FromSoftResult(SoftCoverLocalRatio(graph, penalties));
+    return SoftCoverLocalRatio(graph, penalties);
   }
 
   bool has_fused_rows() const override { return true; }
@@ -105,8 +93,8 @@ class BnbBackend : public SolverBackend {
   StatusOr<SolverCover> SolveSoftCover(
       const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       const SolverExec& exec) const override {
-    return FromSoftResult(SoftCoverBranchAndBound(graph, penalties, exec,
-                                                  /*use_lp_bound=*/false));
+    return SoftCoverBranchAndBound(graph, penalties, exec,
+                                   /*use_lp_bound=*/false);
   }
 };
 

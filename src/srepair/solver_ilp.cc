@@ -317,17 +317,8 @@ class IlpBnbBackend : public SolverBackend {
   StatusOr<SolverCover> SolveSoftCover(
       const NodeWeightedGraph& graph, const std::vector<double>& penalties,
       const SolverExec& exec) const override {
-    SoftCoverResult result = SoftCoverBranchAndBound(graph, penalties, exec,
-                                                     /*use_lp_bound=*/true);
-    SolverCover out;
-    out.cover = std::move(result.cover);
-    out.weight = result.node_weight;
-    out.penalty = result.penalty;
-    out.lower_bound = result.lower_bound;
-    out.optimal = result.optimal;
-    out.ratio_bound = result.ratio_bound;
-    out.nodes = result.nodes;
-    return out;
+    return SoftCoverBranchAndBound(graph, penalties, exec,
+                                   /*use_lp_bound=*/true);
   }
 };
 

@@ -45,12 +45,29 @@ struct PosEdit {
   std::string text;
 };
 
+/// The certificate and route of a finished run. Exact runs are optimal;
+/// an approximate run is within its a-priori ratio α of the optimum,
+/// which proves OPT >= distance / α.
+RepairProvenance CellsProvenance(double distance, bool all_exact,
+                                 double achieved_bound,
+                                 const URepairPlan& plan) {
+  RepairProvenance provenance = Certify(distance, all_exact, achieved_bound,
+                                        distance / achieved_bound);
+  std::string routes;
+  for (const URepairComponentPlan& component : plan.components) {
+    if (!routes.empty()) routes += ",";
+    routes += URepairRouteToString(component.route);
+  }
+  provenance.route = "urepair[" + (routes.empty() ? "noop" : routes) + "]";
+  return provenance;
+}
+
 /// Sorts into canonical (row, attr) order and replays DistUpd's exact
 /// expression tree: per row in row order, distance += weight * edit count
 /// (rows without edits contribute an exact +0.0 there, so skipping them is
-/// bit-identical).
+/// bit-identical). Only spliced runs assemble here, and every spliceable
+/// route is exact.
 OptURepairResult AssembleResult(const Table& table, std::vector<PosEdit> edits,
-                                bool all_exact, double achieved_bound,
                                 URepairPlan plan) {
   std::sort(edits.begin(), edits.end(), [](const PosEdit& a, const PosEdit& b) {
     return a.row != b.row ? a.row < b.row : a.attr < b.attr;
@@ -63,9 +80,8 @@ OptURepairResult AssembleResult(const Table& table, std::vector<PosEdit> edits,
     distance += table.weight(edits[i].row) * static_cast<int>(j - i);
     i = j;
   }
-  result.distance = distance;
-  result.optimal = all_exact;
-  result.ratio_bound = all_exact ? 1.0 : achieved_bound;
+  static_cast<RepairProvenance&>(result) =
+      CellsProvenance(distance, true, 1.0, plan);
   result.edits.reserve(edits.size());
   for (PosEdit& edit : edits) {
     result.edits.push_back(
@@ -215,9 +231,8 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
                     fds.ToString());
 
   OptURepairResult result;
-  result.distance = distance;
-  result.optimal = all_exact;
-  result.ratio_bound = all_exact ? 1.0 : achieved_bound;
+  static_cast<RepairProvenance&>(result) =
+      CellsProvenance(distance, all_exact, achieved_bound, plan);
   const int arity = table.schema().arity();
   for (int row = 0; row < table.num_tuples(); ++row) {
     for (AttrId attr = 0; attr < arity; ++attr) {
@@ -229,6 +244,16 @@ StatusOr<OptURepairResult> OptURepairCells(const FdSet& fds,
   }
   result.plan = std::move(plan);
   return result;
+}
+
+StatusOr<Table> ApplyCellEdits(const Table& table,
+                               const std::vector<URepairCellEdit>& edits) {
+  Table update = table.Clone();
+  for (const URepairCellEdit& edit : edits) {
+    FDR_ASSIGN_OR_RETURN(int row, table.RowOf(edit.id));
+    update.SetValue(row, edit.attr, update.Intern(edit.text));
+  }
+  return update;
 }
 
 namespace {
@@ -274,8 +299,6 @@ StatusOr<OptURepairResult> DeltaCells(
     }
   }
 
-  bool all_exact = true;
-  double achieved_bound = 1.0;
   // Splices one component's inner S-repair against its captured plan,
   // refreshing the plan into *fresh and counting the splice's blocks.
   auto splice_inner = [&](const FdSet& component_fds,
@@ -389,7 +412,6 @@ StatusOr<OptURepairResult> DeltaCells(
             "captured U-plan contains a non-spliceable route");
     }
     if (capture != nullptr) capture->components.push_back(std::move(cache));
-    achieved_bound = std::max(achieved_bound, component.ratio_bound);
   }
 
   if (stats != nullptr) {
@@ -400,8 +422,7 @@ StatusOr<OptURepairResult> DeltaCells(
   // No Satisfies() audit here: the splice path exists to skip O(n · arity)
   // re-work, and its bit-identity with the cold run (which does audit) is
   // property-tested in tests/delta_test.cc.
-  return AssembleResult(table, std::move(edits), all_exact, achieved_bound,
-                        std::move(plan));
+  return AssembleResult(table, std::move(edits), std::move(plan));
 }
 
 }  // namespace

@@ -91,19 +91,23 @@ struct OptURepairOptions {
   SRepairSpliceStats* splice_stats = nullptr;
 };
 
-/// The edit-list form of a U-repair.
-struct OptURepairResult {
+/// The edit-list form of a U-repair, with its provenance: distance =
+/// dist_upd(update, T), bit-exact with DistUpd on the materialized update;
+/// route = "urepair[<component routes>]" ("urepair[noop]" without
+/// components); an approximate run's a-priori ratio α proves the lower
+/// bound distance / α on the optimum.
+struct OptURepairResult : RepairProvenance {
   /// Canonical order: ascending (dense row position, attribute); each
   /// edited cell appears exactly once, and every entry really differs
   /// from the input cell.
   std::vector<URepairCellEdit> edits;
-  /// dist_upd(update, T), bit-exact with DistUpd on the materialized
-  /// update.
-  double distance = 0;
-  bool optimal = false;
-  double ratio_bound = 1;
   URepairPlan plan;
 };
+
+/// Materializes an edit list: a clone of `table` with every edit applied.
+/// Fails with kNotFound when an edit names a tuple id absent from `table`.
+StatusOr<Table> ApplyCellEdits(const Table& table,
+                               const std::vector<URepairCellEdit>& edits);
 
 /// The freshening edits of one top-level S-repair block of a common-lhs
 /// component: positions index into the paired SRepairBlockRecipe's `ids`.

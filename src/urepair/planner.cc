@@ -193,14 +193,8 @@ StatusOr<URepairResult> ComputeURepair(const FdSet& fds, const Table& table,
   cell_options.planner = options;
   FDR_ASSIGN_OR_RETURN(OptURepairResult cells,
                        OptURepairCells(fds, table, cell_options, nullptr));
-  Table update = table.Clone();
-  for (const URepairCellEdit& edit : cells.edits) {
-    FDR_ASSIGN_OR_RETURN(int row, update.RowOf(edit.id));
-    update.SetValue(row, edit.attr, update.Intern(edit.text));
-  }
-  URepairResult result{std::move(update), cells.distance, cells.optimal,
-                       cells.ratio_bound, std::move(cells.plan)};
-  return result;
+  FDR_ASSIGN_OR_RETURN(Table update, ApplyCellEdits(table, cells.edits));
+  return URepairResult{cells, std::move(update), std::move(cells.plan)};
 }
 
 }  // namespace fdrepair

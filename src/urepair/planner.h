@@ -26,6 +26,7 @@
 
 #include "catalog/fdset.h"
 #include "common/status.h"
+#include "storage/distance.h"
 #include "storage/table.h"
 
 namespace fdrepair {
@@ -95,14 +96,10 @@ struct URepairOptions {
 /// Classifies ∆ without touching data. Pure function of the FD set.
 StatusOr<URepairPlan> PlanURepair(const FdSet& fds);
 
-struct URepairResult {
+/// An update repair with its provenance (see OptURepairResult): distance
+/// = dist_upd(update, T).
+struct URepairResult : RepairProvenance {
   Table update;
-  /// dist_upd(update, T).
-  double distance = 0;
-  /// True iff the update is provably an optimal U-repair.
-  bool optimal = false;
-  /// Upper bound on distance / optimal distance.
-  double ratio_bound = 1;
   URepairPlan plan;
 };
 

@@ -53,7 +53,7 @@ TEST(DatabaseTest, SubsetRepairTotalsAdd) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->optimal);
   // office optimum is 2 (Figure 1); orders optimum is 1 (drop one apple).
-  EXPECT_DOUBLE_EQ(result->total_distance, 3);
+  EXPECT_DOUBLE_EQ(result->distance, 3);
   ASSERT_EQ(result->per_relation.size(), 2u);
   for (const auto& [name, repaired] : result->per_relation) {
     const Relation* relation = *db.Find(name);
@@ -66,7 +66,7 @@ TEST(DatabaseTest, UpdateRepairTotalsAdd) {
   auto result = RepairDatabaseUpdates(db);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->optimal);
-  EXPECT_DOUBLE_EQ(result->total_distance, 3);  // 2 (office) + 1 (orders)
+  EXPECT_DOUBLE_EQ(result->distance, 3);  // 2 (office) + 1 (orders)
   for (const auto& [name, repaired] : result->per_relation) {
     const Relation* relation = *db.Find(name);
     EXPECT_TRUE(Satisfies(repaired.update, relation->fds)) << name;
@@ -99,7 +99,7 @@ TEST(DatabaseTest, EmptyDatabaseIsConsistent) {
   EXPECT_TRUE(db.Consistent());
   auto subsets = RepairDatabaseSubsets(db);
   ASSERT_TRUE(subsets.ok());
-  EXPECT_DOUBLE_EQ(subsets->total_distance, 0);
+  EXPECT_DOUBLE_EQ(subsets->distance, 0);
   EXPECT_TRUE(subsets->optimal);
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "catalog/fd_parser.h"
+#include "common/random.h"
 #include "service/repair_service.h"
 #include "srepair/planner.h"
 #include "srepair/solver_backend.h"
@@ -593,6 +594,46 @@ TEST(RepairServiceTest, MaxRatioGateSurfacesAndIsKeyedSeparately) {
   ASSERT_TRUE(proved.ok()) << proved.status();
   EXPECT_TRUE(proved->optimal);
   EXPECT_EQ(proved->backend, kSolverBnb);
+}
+
+// Update responses carry a truthful certificate: an exact update proves
+// its own distance; an approximate one (exact search disabled on the
+// APX-hard ∆3) proves OPT >= distance / ratio_bound from its a-priori ratio.
+TEST(RepairServiceTest, UpdateResponsesCarryTruthfulCertificate) {
+  Rng rng(5150);
+  ParsedFdSet email = Delta3Email();
+  RandomTableOptions table_options;
+  table_options.num_tuples = 30;
+  table_options.domain_size = 3;
+  Table table = RandomTable(email.schema, table_options, &rng);
+  RepairServiceOptions options;
+  options.urepair.allow_exact_search = false;
+  RepairService service(options);
+
+  RepairRequest approx = Request(RepairMode::kUpdate, email.fds, &table);
+  for (bool expect_hit : {false, true}) {
+    auto response = service.Serve(approx);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->cache_hit, expect_hit);
+    EXPECT_FALSE(response->optimal);
+    EXPECT_GT(response->distance, 0);
+    EXPECT_GE(response->achieved_ratio, 1.0);
+    EXPECT_LE(response->achieved_ratio, response->ratio_bound + 1e-9);
+    EXPECT_LE(response->lower_bound, response->distance);
+    EXPECT_NEAR(response->lower_bound,
+                response->distance / response->ratio_bound, 1e-9);
+    EXPECT_NEAR(response->achieved_ratio, response->ratio_bound, 1e-9);
+  }
+
+  ParsedFdSet office = OfficeFds();
+  Table office_table = ScalingFamilyTable(office, 50, 67);
+  auto exact =
+      service.Serve(Request(RepairMode::kUpdate, office.fds, &office_table));
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_TRUE(exact->optimal);
+  EXPECT_GT(exact->distance, 0);
+  EXPECT_EQ(exact->lower_bound, exact->distance);
+  EXPECT_EQ(exact->achieved_ratio, 1.0);
 }
 
 TEST(RepairServiceTest, SolverKnobsRejectedForUpdateMode) {

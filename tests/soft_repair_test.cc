@@ -148,7 +148,7 @@ TEST_P(SoftPinTest, AllHardComputeSoftRepairMatchesComputeSRepair) {
     auto soft = ComputeSoftRepair(named.parsed.fds, table);
     ASSERT_TRUE(soft.ok()) << named.name;
     ExpectSameRepair(soft->repair, hard->repair, named.name);
-    EXPECT_NEAR(soft->cost, hard->distance, 1e-12) << named.name;
+    EXPECT_NEAR(soft->distance, hard->distance, 1e-12) << named.name;
     EXPECT_DOUBLE_EQ(soft->violation_cost, 0) << named.name;
     EXPECT_EQ(soft->optimal, hard->optimal) << named.name;
 
@@ -261,16 +261,16 @@ TEST_P(SoftOracleTest, MatchesBruteForceOnMixedWeightSets) {
       ASSERT_TRUE(result.ok()) << named.name << ": " << result.status();
       EXPECT_TRUE(Satisfies(result->repair, weighted->HardPart()))
           << named.name;
-      EXPECT_NEAR(result->cost,
+      EXPECT_NEAR(result->distance,
                   result->deleted_weight + result->violation_cost, 1e-9)
           << named.name;
       double oracle = BruteForceSoftCost(*weighted, table);
       if (result->optimal) {
-        EXPECT_NEAR(result->cost, oracle, 1e-9)
+        EXPECT_NEAR(result->distance, oracle, 1e-9)
             << named.name << " trial " << trial << "\n" << table.ToString();
       } else {
-        EXPECT_GE(result->cost, oracle - 1e-9) << named.name;
-        EXPECT_LE(result->cost, result->ratio_bound * oracle + 1e-9)
+        EXPECT_GE(result->distance, oracle - 1e-9) << named.name;
+        EXPECT_LE(result->distance, result->ratio_bound * oracle + 1e-9)
             << named.name;
       }
     }
@@ -296,7 +296,7 @@ TEST_P(SoftOracleTest, SoftCostNeverExceedsHardOptimum) {
     auto soft = ComputeSoftRepair(*weighted, table);
     ASSERT_TRUE(soft.ok()) << named.name;
     if (soft->optimal && hard->optimal) {
-      EXPECT_LE(soft->cost, hard->distance + 1e-9) << named.name;
+      EXPECT_LE(soft->distance, hard->distance + 1e-9) << named.name;
     }
   }
 }
@@ -324,7 +324,7 @@ TEST_P(SoftOracleTest, RaisingAViolatedWeightNeverDecreasesCost) {
       ASSERT_TRUE(low_result.ok()) << named.name << low_result.status();
       ASSERT_TRUE(high_result.ok()) << named.name << high_result.status();
       if (!low_result->optimal || !high_result->optimal) continue;
-      EXPECT_GE(high_result->cost, low_result->cost - 1e-9)
+      EXPECT_GE(high_result->distance, low_result->distance - 1e-9)
           << named.name << " fd " << target;
     }
   }
@@ -357,7 +357,7 @@ TEST(SoftServiceTest, FiniteWeightsServeAndReplayBitIdentically) {
   EXPECT_TRUE(miss->optimal);
   auto direct = ComputeSoftRepair(fds, table);
   ASSERT_TRUE(direct.ok());
-  EXPECT_NEAR(direct->cost, miss->distance, 1e-12);
+  EXPECT_NEAR(direct->distance, miss->distance, 1e-12);
 
   auto hit = service.Serve(request);
   ASSERT_TRUE(hit.ok()) << hit.status();
@@ -391,6 +391,38 @@ TEST(SoftServiceTest, WeightProfilesKeySeparately) {
   EXPECT_EQ(cheap_response->repair.num_tuples(), 2);
   EXPECT_NEAR(dear_response->distance, 1.0, 1e-12);
   EXPECT_EQ(dear_response->repair.num_tuples(), 1);
+}
+
+// A soft request naming no backend runs under the service-wide one.
+TEST(SoftServiceTest, ServiceBackendAppliesToSoftRequests) {
+  Schema schema = Schema::MakeOrDie("R", {"A", "B"});
+  FdSet fds = ParseFdSetOrDie(schema, "A -> B @2");
+  Table table(schema);
+  table.AddTuple({"a", "x"}, 1.0);
+  table.AddTuple({"a", "y"}, 1.0);
+  RepairServiceOptions options;
+  options.srepair.backend = kSolverLocalRatio;
+  RepairService service(options);
+  auto response = service.Serve(Request(RepairMode::kSoft, fds, &table));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->backend, kSolverLocalRatio);
+}
+
+// A service-wide backend that cannot solve soft cores is rejected like a
+// requested one: kInvalidArgument before lookup or admission.
+TEST(SoftServiceTest, NonSoftCapableServiceBackendRejectedBeforeAdmission) {
+  Schema schema = Schema::MakeOrDie("R", {"A", "B"});
+  FdSet fds = ParseFdSetOrDie(schema, "A -> B @2");
+  Table table(schema);
+  table.AddTuple({"a", "x"}, 1.0);
+  table.AddTuple({"a", "y"}, 1.0);
+  RepairServiceOptions options;
+  options.srepair.backend = kSolverLpRounding;
+  RepairService service(options);
+  auto response = service.Serve(Request(RepairMode::kSoft, fds, &table));
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().lookups, 0u);
+  EXPECT_EQ(service.stats().misses, 0u);
 }
 
 // --------------------------------------------------------------------------

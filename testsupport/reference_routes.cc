@@ -336,9 +336,11 @@ StatusOr<URepairResult> ReferenceComputeURepair(const FdSet& fds,
   FDR_CHECK_MSG(Satisfies(update, fds),
                 "reference planner produced an inconsistent update for " +
                     fds.ToString());
-  URepairResult result{std::move(update), distance, all_exact,
-                       all_exact ? 1.0 : achieved_bound, std::move(plan)};
-  return result;
+  RepairProvenance provenance;
+  provenance.distance = distance;
+  provenance.optimal = all_exact;
+  provenance.ratio_bound = all_exact ? 1.0 : achieved_bound;
+  return URepairResult{provenance, std::move(update), std::move(plan)};
 }
 
 }  // namespace fdrepair
