@@ -126,6 +126,37 @@ void Report() {
   std::cout << "span rows bit-identical to the legacy recursion on every "
                "workload (FDR_CHECKed)\n";
 
+  // --- Marriage scaling: the same sizes in smoke and full runs. Three
+  // times the rows should cost about three times the time; a matching
+  // that is superlinear in the block graph shows as a ratio well above 4.
+  // The two sizes are timed in alternation, best of five rounds, so host
+  // drift between them does not skew the ratio.
+  Banner("hotpath.marriage_scale", "SSN marriage: n=12288 vs n=4096");
+  ReportTable scale_table({"n", "span (ms)"});
+  const ParsedFdSet ssn = Example31Ssn();
+  const int scale_n[2] = {4096, 12288};
+  std::vector<Table> scale_tables;
+  for (int n : scale_n) {
+    scale_tables.push_back(ScalingFamilyTable(ssn, n, 5 + n));
+  }
+  double scale_ms[2] = {0, 0};
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      std::vector<int> rows;
+      const double ms = TimeRowsMs(
+          [&] { return OptSRepairRows(ssn.fds, TableView(scale_tables[i])); },
+          &rows);
+      if (round == 0 || ms < scale_ms[i]) scale_ms[i] = ms;
+    }
+  }
+  for (int i = 0; i < 2; ++i) {
+    scale_table.AddRow({Num(scale_n[i]), Num(scale_ms[i])});
+  }
+  scale_table.Print();
+  const double scale = scale_ms[0] > 0 ? scale_ms[1] / scale_ms[0] : 0;
+  std::cout << "time ratio n=12288 / n=4096: " << Num(scale) << "\n";
+  JsonReport::Get().Add("hotpath.marriage_scale_12288_over_4096", scale, "x");
+
   // --- Columnar + SIMD grouping vs the PR 4 row-major scalar path.
   //
   // Same span recursion both times; only the grouping core differs:

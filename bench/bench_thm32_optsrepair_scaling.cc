@@ -40,12 +40,19 @@ void Report() {
     for (int n : {1000, 4000, 16000, 64000}) {
       if (n > max_n) continue;
       Table t = ScalingFamilyTable(parsed, n, 5 + n);
-      auto start = std::chrono::steady_clock::now();
-      auto rows = OptSRepairRows(parsed.fds, TableView(t));
-      auto stop = std::chrono::steady_clock::now();
-      FDR_CHECK_MSG(rows.ok(), rows.status().ToString());
-      double ms = std::chrono::duration<double, std::milli>(stop - start)
-                      .count();
+      // Best of three: a single run of a few milliseconds swings up to 3x
+      // on a shared runner, and the tracked gates read these numbers.
+      StatusOr<std::vector<int>> rows = Status::Internal("not run");
+      double ms = 0;
+      for (int rep = 0; rep < 3; ++rep) {
+        auto start = std::chrono::steady_clock::now();
+        rows = OptSRepairRows(parsed.fds, TableView(t));
+        auto stop = std::chrono::steady_clock::now();
+        FDR_CHECK_MSG(rows.ok(), rows.status().ToString());
+        const double rep_ms =
+            std::chrono::duration<double, std::milli>(stop - start).count();
+        if (rep == 0 || rep_ms < ms) ms = rep_ms;
+      }
       Table repair = t.SubsetByRows(*rows);
       FDR_CHECK(Satisfies(repair, parsed.fds));
       table.AddRow({label, Num(n), Num(DistSubOrDie(repair, t)), Num(ms),

@@ -375,6 +375,19 @@ def self_test():
         soft_ratio
     checks += 1
 
+    # The lhs-marriage scaling gate (bench_hotpath): three times the SSN
+    # rows may cost at most four times the time — the gate limit
+    # baseline*(1+threshold) stays <= 4 — so a matching that turns
+    # superlinear again fails whatever the runner's absolute speed.
+    scale = tracked.get("hotpath.marriage_scale_12288_over_4096")
+    assert scale is not None, "baselines.json must track the marriage " \
+        "scaling ratio"
+    assert scale.get("direction") == "lower", scale
+    assert scale.get("file") == "BENCH_hotpath.json", scale
+    assert scale["baseline"] * (
+        1 + scale.get("threshold", default_threshold)) <= 4.0 + 1e-9, scale
+    checks += 1
+
     # Rebase applies headroom (2x for lower, 0.8x for higher) but never
     # lowers a 'higher' baseline below its committed min_baseline.
     with tempfile.TemporaryDirectory() as tmp:

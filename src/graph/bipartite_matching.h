@@ -25,14 +25,27 @@ struct BipartiteEdge {
 };
 
 struct MatchingResult {
-  /// Chosen edges as (left, right) pairs; no node repeats.
+  /// Chosen edges as indices into the input edges, ascending.
+  std::vector<int> edges;
+  /// The same edges as (left, right) pairs; no node repeats.
   std::vector<std::pair<int, int>> pairs;
   double total_weight = 0;
 };
 
 /// Computes a maximum-weight matching of the bipartite graph with
-/// `num_left` / `num_right` nodes and the given edges. Duplicate edges keep
-/// the heaviest copy. O(V · E · augmentations) via min-cost flow.
+/// `num_left` / `num_right` nodes and the given edges, in three steps:
+///  1. dedup: edges sorted by (left, right); each pair keeps its heaviest
+///     copy, and non-positive edges are dropped;
+///  2. prune: of a node's degree-1 neighbours only the heaviest can be
+///     needed (it is free whenever a lighter one is matched), so the
+///     lighter leaf edges go;
+///  3. components: union-find splits the rest; a single-edge component
+///     (every star, after pruning) takes its edge, any other runs
+///     min-cost flow (min_cost_flow.h) on that component only.
+/// Ties go to the first edge in (left, right) order, then input order, so
+/// the chosen pairs and total_weight do not depend on the input order.
+/// Min-cost flow costs O(V · E) per augmentation, but only within a
+/// component that survives pruning.
 MatchingResult MaxWeightBipartiteMatching(int num_left, int num_right,
                                           const std::vector<BipartiteEdge>& edges);
 

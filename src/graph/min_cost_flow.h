@@ -1,6 +1,8 @@
 // Min-cost flow via successive shortest augmenting paths (Bellman-Ford /
 // SPFA on the residual network). This is the engine behind the maximum
-// weight bipartite matching that Subroutine 3 (MarriageRep) requires.
+// weight bipartite matching that Subroutine 3 (MarriageRep) requires;
+// bipartite_matching.cc builds one network per connected component of the
+// pruned block graph, not one over the whole graph.
 //
 // Costs are doubles (tuple weights are real-valued); an epsilon guards the
 // "is this path still profitable" test when augmentation may stop early.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/block_partitioner.h"
@@ -341,22 +340,14 @@ void MergeBlocks(SimplificationKind kind, const StepBlocks& blocks,
         edges.push_back(
             BipartiteEdge{blocks.left(b), blocks.right(b), results[b].weight});
       }
+      // Edge b is block b, and the matching reports its edges ascending,
+      // so the chosen blocks merge in first-appearance order.
       MatchingResult matching = MaxWeightBipartiteMatching(
           blocks.num_left(), blocks.num_right(), edges);
-      // Blocks are keyed by their unique (left, right) pair.
-      auto pair_key = [](int l, int r) {
-        return (static_cast<uint64_t>(static_cast<uint32_t>(l)) << 32) |
-               static_cast<uint32_t>(r);
-      };
-      std::unordered_map<uint64_t, int> block_of;
-      block_of.reserve(num_blocks);
-      for (int b = 0; b < num_blocks; ++b) {
-        block_of[pair_key(blocks.left(b), blocks.right(b))] = b;
-      }
-      for (const auto& [l, r] : matching.pairs) {
-        const BlockResult& result = results[block_of.at(pair_key(l, r))];
-        kept->insert(kept->end(), result.rows.begin(), result.rows.end());
-        *kept_weight += result.weight;
+      for (int b : matching.edges) {
+        kept->insert(kept->end(), results[b].rows.begin(),
+                     results[b].rows.end());
+        *kept_weight += results[b].weight;
       }
       return;
     }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "catalog/fd_parser.h"
 #include "common/random.h"
@@ -140,6 +143,147 @@ TEST_P(MatchingPropertyTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchingPropertyTest,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+/// The optimum by one min-cost flow over the whole graph, with duplicate,
+/// zero and negative edges left in: an oracle that shares no step of the
+/// dedup / prune / component pipeline under test.
+double WholeGraphFlowWeight(int num_left, int num_right,
+                            const std::vector<BipartiteEdge>& edges) {
+  const int source = 0;
+  const int sink = num_left + num_right + 1;
+  MinCostFlow flow(sink + 1);
+  for (int u = 0; u < num_left; ++u) flow.AddEdge(source, 1 + u, 1, 0);
+  for (int v = 0; v < num_right; ++v) {
+    flow.AddEdge(1 + num_left + v, sink, 1, 0);
+  }
+  for (const BipartiteEdge& edge : edges) {
+    flow.AddEdge(1 + edge.left, 1 + num_left + edge.right, 1, -edge.weight);
+  }
+  return -flow.Solve(source, sink, /*stop_on_nonnegative_path=*/true).cost;
+}
+
+struct RandomBipartite {
+  int num_left = 0;
+  int num_right = 0;
+  std::vector<BipartiteEdge> edges;
+};
+
+/// Weights mixing continuous values, small-integer ties, zeros and
+/// negatives.
+double RandomWeight(Rng* rng) {
+  switch (rng->UniformUint64(6)) {
+    case 0:
+      return 0;
+    case 1:
+      return -rng->UniformDouble(0.1, 5.0);
+    case 2:
+    case 3:
+      return static_cast<double>(1 + rng->UniformUint64(3));
+    default:
+      return rng->UniformDouble(0.1, 10.0);
+  }
+}
+
+/// Marriage-shaped: left nodes in clusters of 1-4, each right node joined
+/// to 1-3 left nodes of one cluster (mostly one), so most right nodes are
+/// leaves and the graph splits into many components.
+RandomBipartite SparseLeafyGraph(Rng* rng) {
+  RandomBipartite graph;
+  graph.num_left = 100 + static_cast<int>(rng->UniformUint64(200));
+  graph.num_right = 4 * graph.num_left;
+  const int cluster = 1 + static_cast<int>(rng->UniformUint64(4));
+  for (int r = 0; r < graph.num_right; ++r) {
+    const int base =
+        static_cast<int>(rng->UniformUint64(graph.num_left / cluster)) *
+        cluster;
+    const int degree = rng->Bernoulli(0.8)
+                           ? 1
+                           : 2 + static_cast<int>(rng->UniformUint64(2));
+    for (int d = 0; d < degree; ++d) {
+      graph.edges.push_back(
+          {base + static_cast<int>(rng->UniformUint64(cluster)), r,
+           RandomWeight(rng)});
+    }
+  }
+  return graph;
+}
+
+/// One dense component: a few edges per node, endpoints uniform.
+RandomBipartite DenseGraph(Rng* rng) {
+  RandomBipartite graph;
+  graph.num_left = 50 + static_cast<int>(rng->UniformUint64(100));
+  graph.num_right = 50 + static_cast<int>(rng->UniformUint64(100));
+  const int num_edges = 6 * (graph.num_left + graph.num_right);
+  for (int e = 0; e < num_edges; ++e) {
+    graph.edges.push_back(
+        {static_cast<int>(rng->UniformUint64(graph.num_left)),
+         static_cast<int>(rng->UniformUint64(graph.num_right)),
+         RandomWeight(rng)});
+  }
+  return graph;
+}
+
+/// Appends re-weighted and exact copies of a quarter of the edges.
+void AddDuplicates(RandomBipartite* graph, Rng* rng) {
+  const size_t num_edges = graph->edges.size();
+  for (size_t i = 0; i < num_edges / 4; ++i) {
+    BipartiteEdge copy = graph->edges[rng->UniformIndex(num_edges)];
+    if (rng->Bernoulli(0.5)) copy.weight = RandomWeight(rng);
+    graph->edges.push_back(copy);
+  }
+}
+
+class MatchingDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MatchingDifferentialTest, AgreesWithWholeGraphFlow) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 8; ++trial) {
+    RandomBipartite graph =
+        trial % 2 == 0 ? SparseLeafyGraph(&rng) : DenseGraph(&rng);
+    if (trial % 4 >= 2) AddDuplicates(&graph, &rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", " +
+                 std::to_string(graph.edges.size()) + " edges");
+    const MatchingResult result = MaxWeightBipartiteMatching(
+        graph.num_left, graph.num_right, graph.edges);
+    EXPECT_NEAR(result.total_weight,
+                WholeGraphFlowWeight(graph.num_left, graph.num_right,
+                                     graph.edges),
+                1e-6);
+
+    // A matching: no node used twice, pairs and indices agree, indices
+    // ascend, and the total is the chosen edges' weight.
+    ASSERT_EQ(result.pairs.size(), result.edges.size());
+    std::vector<int> left_used(graph.num_left, 0);
+    std::vector<int> right_used(graph.num_right, 0);
+    double weight = 0;
+    for (size_t i = 0; i < result.edges.size(); ++i) {
+      const BipartiteEdge& edge = graph.edges[result.edges[i]];
+      if (i > 0) {
+        EXPECT_LT(result.edges[i - 1], result.edges[i]);
+      }
+      EXPECT_EQ(result.pairs[i], std::make_pair(edge.left, edge.right));
+      EXPECT_EQ(left_used[edge.left]++, 0);
+      EXPECT_EQ(right_used[edge.right]++, 0);
+      weight += edge.weight;
+    }
+    EXPECT_NEAR(weight, result.total_weight, 1e-6);
+
+    // The input order changes nothing: same pairs, same total bit for bit.
+    std::vector<BipartiteEdge> shuffled = graph.edges;
+    rng.Shuffle(&shuffled);
+    const MatchingResult permuted = MaxWeightBipartiteMatching(
+        graph.num_left, graph.num_right, shuffled);
+    std::vector<std::pair<int, int>> expected_pairs = result.pairs;
+    std::vector<std::pair<int, int>> permuted_pairs = permuted.pairs;
+    std::sort(expected_pairs.begin(), expected_pairs.end());
+    std::sort(permuted_pairs.begin(), permuted_pairs.end());
+    EXPECT_EQ(permuted_pairs, expected_pairs);
+    EXPECT_EQ(permuted.total_weight, result.total_weight);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MatchingDifferentialTest,
+                         ::testing::Values(11, 22, 33, 44));
 
 TEST(VertexCoverTest, LocalRatioOnTriangle) {
   NodeWeightedGraph graph(3);

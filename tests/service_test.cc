@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "service/repair_service.h"
 #include "srepair/planner.h"
 #include "srepair/solver_backend.h"
+#include "storage/consistency.h"
 #include "storage/table_delta.h"
 #include "storage/table_hash.h"
 #include "storage/table_io.h"
@@ -379,14 +382,33 @@ TEST(RepairServiceTest, SingleFlightDeduplicatesConcurrentIdenticalRequests) {
   EXPECT_LE(stats.single_flight_waits, static_cast<uint64_t>(kClients - 1));
 }
 
+/// A solver backend that holds its caller until the test opens `gate`,
+/// then answers like local-ratio: an execution slot stays occupied exactly
+/// as long as the test needs, however fast the planners get.
+class BlockingBackend : public SolverBackend {
+ public:
+  explicit BlockingBackend(std::shared_ptr<std::latch> gate)
+      : gate_(std::move(gate)) {}
+  const char* name() const override { return "test-blocking"; }
+  bool exact() const override { return false; }
+  StatusOr<SolverCover> SolveCover(const NodeWeightedGraph& graph,
+                                   const SolverExec& exec) const override {
+    gate_->wait();
+    return FindSolverBackend(kSolverLocalRatio)->SolveCover(graph, exec);
+  }
+
+ private:
+  std::shared_ptr<std::latch> gate_;
+};
+
 TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
-  // The occupant must hold the single execution slot for much longer than
-  // the queued request's deadline on any machine. A chain family does not
-  // cut it anymore — the span recursion core repairs a 400k-tuple office
-  // chain in tens of milliseconds — so use the ssn lhs-marriage family,
-  // whose cost is dominated by the bipartite matching, not by grouping.
+  // The occupant names the blocking backend on a table with a conflict, so
+  // it holds the single execution slot until the assertions below are done.
+  auto gate = std::make_shared<std::latch>(1);
+  RegisterSolverBackend(std::make_unique<BlockingBackend>(gate));
   ParsedFdSet parsed = Example31Ssn();
-  Table big = ScalingFamilyTable(parsed, 32768, 41);
+  Table occupied = ScalingFamilyTable(parsed, 200, 41);
+  ASSERT_FALSE(Satisfies(occupied, parsed.fds));
   Table small_a = ScalingFamilyTable(parsed, 50, 43);
   Table small_b = ScalingFamilyTable(parsed, 60, 47);
 
@@ -396,10 +418,11 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   options.max_queue = 1;
   RepairService service(options);
 
-  // Occupy the single execution slot with a long request.
   std::thread occupant([&] {
-    auto response =
-        service.Serve(Request(RepairMode::kSubset, parsed.fds, &big));
+    RepairRequest request =
+        Request(RepairMode::kSubset, parsed.fds, &occupied);
+    request.options.backend = "test-blocking";
+    auto response = service.Serve(request);
     EXPECT_TRUE(response.ok()) << response.status();
   });
   while (service.stats().inflight == 0) {
@@ -423,14 +446,15 @@ TEST(RepairServiceTest, DeadlineAndCapacityRejectionUnderFullQueue) {
   if (service.stats().queued > 0) {
     RepairRequest request = Request(RepairMode::kSubset, parsed.fds, &small_b);
     auto response = service.Serve(request);
-    ASSERT_FALSE(response.ok());
+    EXPECT_FALSE(response.ok());
     EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
     EXPECT_GE(service.stats().rejected_unavailable, 1u);
   }
 
   queued.join();
-  occupant.join();
   EXPECT_GE(service.stats().rejected_deadline, 1u);
+  gate->count_down();
+  occupant.join();
 
   // The slot drained: a fresh request serves normally again.
   auto after =

@@ -3,7 +3,6 @@
 #include "testsupport/reference_recursion.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "engine/block_partitioner.h"
 #include "graph/bipartite_matching.h"
@@ -62,27 +61,16 @@ Status ReferenceRecurse(const FdSet& fds, const TableView& view,
           PartitionForMarriage(view, step.marriage_x1, step.marriage_x2);
       std::vector<std::vector<int>> rows(partition.blocks.size());
       std::vector<BipartiteEdge> edges;
-      std::unordered_map<uint64_t, int> block_of;
       for (size_t b = 0; b < partition.blocks.size(); ++b) {
         double weight = 0;
         FDR_RETURN_IF_ERROR(ReferenceRecurse(
             step.after, partition.blocks[b].view, &rows[b], &weight));
         edges.push_back(BipartiteEdge{partition.blocks[b].left,
                                       partition.blocks[b].right, weight});
-        const uint64_t key =
-            (static_cast<uint64_t>(
-                 static_cast<uint32_t>(partition.blocks[b].left))
-             << 32) |
-            static_cast<uint32_t>(partition.blocks[b].right);
-        block_of[key] = static_cast<int>(b);
       }
       MatchingResult matching = MaxWeightBipartiteMatching(
           partition.num_left, partition.num_right, edges);
-      for (const auto& [left, right] : matching.pairs) {
-        const uint64_t key =
-            (static_cast<uint64_t>(static_cast<uint32_t>(left)) << 32) |
-            static_cast<uint32_t>(right);
-        const int b = block_of.at(key);
+      for (int b : matching.edges) {
         kept->insert(kept->end(), rows[b].begin(), rows[b].end());
         *kept_weight += edges[b].weight;
       }
