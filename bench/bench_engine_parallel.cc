@@ -7,6 +7,7 @@
 // threads on ≥4-core hardware.
 
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "report_util.h"
@@ -129,37 +130,48 @@ void ReportBatchServing() {
     jobs.push_back(std::move(job));
   }
 
-  ReportTable table({"threads", "jobs", "time (ms)", "jobs/s", "speedup"});
-  double t1_ms = 0;
-  std::vector<double> distances;
-  for (int threads : {1, 4}) {
+  // The 1- and 4-thread batches are timed in alternation, best of five
+  // rounds: a single pass of each swings by more than the speedup on a
+  // shared 4-vCPU runner (host drift between two back-to-back passes read
+  // 4 threads slower than 1), while alternating rounds see the same drift.
+  const int thread_counts[2] = {1, 4};
+  std::vector<std::unique_ptr<RepairEngine>> engines;
+  for (int threads : thread_counts) {
     EngineOptions options;
     options.threads = threads;
-    RepairEngine engine(options);
-    auto start = std::chrono::steady_clock::now();
-    std::vector<StatusOr<SRepairResult>> results = engine.RepairBatch(jobs);
-    auto stop = std::chrono::steady_clock::now();
-    double ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    std::vector<double> got;
-    for (const auto& result : results) {
-      FDR_CHECK_MSG(result.ok(), result.status().ToString());
-      got.push_back(result->distance);
-    }
-    if (threads == 1) {
-      t1_ms = ms;
-      distances = got;
-    }
-    FDR_CHECK(got == distances);  // deterministic across thread counts
-    table.AddRow({Num(threads), Num(jobs_n), Num(ms),
-                  Num(1000.0 * jobs_n / ms), Num(t1_ms / ms)});
-    JsonReport::Get().Add("engine.batch_t" + std::to_string(threads) + "_ms",
-                          ms, "ms");
-    if (threads == 4) {
-      JsonReport::Get().Add("engine.batch_speedup_4t", ms > 0 ? t1_ms / ms : 0,
-                            "x");
+    engines.push_back(std::make_unique<RepairEngine>(options));
+  }
+  double best_ms[2] = {0, 0};
+  std::vector<double> distances;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      auto start = std::chrono::steady_clock::now();
+      std::vector<StatusOr<SRepairResult>> results =
+          engines[i]->RepairBatch(jobs);
+      auto stop = std::chrono::steady_clock::now();
+      const double ms =
+          std::chrono::duration<double, std::milli>(stop - start).count();
+      std::vector<double> got;
+      for (const auto& result : results) {
+        FDR_CHECK_MSG(result.ok(), result.status().ToString());
+        got.push_back(result->distance);
+      }
+      if (distances.empty()) distances = got;
+      FDR_CHECK(got == distances);  // deterministic across thread counts
+      if (round == 0 || ms < best_ms[i]) best_ms[i] = ms;
     }
   }
+
+  ReportTable table({"threads", "jobs", "time (ms)", "jobs/s", "speedup"});
+  for (int i = 0; i < 2; ++i) {
+    const double ms = best_ms[i];
+    table.AddRow({Num(thread_counts[i]), Num(jobs_n), Num(ms),
+                  Num(1000.0 * jobs_n / ms), Num(best_ms[0] / ms)});
+    JsonReport::Get().Add(
+        "engine.batch_t" + std::to_string(thread_counts[i]) + "_ms", ms, "ms");
+  }
+  JsonReport::Get().Add("engine.batch_speedup_4t",
+                        best_ms[1] > 0 ? best_ms[0] / best_ms[1] : 0, "x");
   table.Print();
 
   // Deadline admission: an already-expired job fails fast with

@@ -12,7 +12,10 @@
 // mutated state at a <=1% mutation rate (the acceptance floor is 3x), in
 // both repair modes — kept-id recipe splicing for subset repairs
 // (`service.delta_speedup`) and cell-edit recipe splicing for update
-// repairs (`service.udelta_speedup`, floor 2x).
+// repairs (`service.udelta_speedup`, floor 2x). Finally, what one cache hit
+// costs against the planner it fronts, at n=8192: the content hash per
+// cell (`service.content_hash_ns_per_cell`) and a warm hit over
+// planner-only time (`service.warm_hit_over_plan`, gated below 1.0).
 
 #include <algorithm>
 #include <chrono>
@@ -22,7 +25,9 @@
 #include "common/random.h"
 #include "report_util.h"
 #include "service/repair_service.h"
+#include "srepair/planner.h"
 #include "storage/table_delta.h"
+#include "storage/table_hash.h"
 #include "workloads/example_fdsets.h"
 #include "workloads/generators.h"
 
@@ -344,6 +349,79 @@ void ReportUDeltaSpeedup() {
   JsonReport::Get().Add("service.udelta_clean_block_ratio", clean_ratio, "");
 }
 
+/// What one cache hit costs against the planner it fronts. Fixed size (no
+/// smoke cap), like the delta sections: the ratio compares two O(n) paths
+/// at the n=8192 the serving target names. A 1-thread engine and a
+/// sequential planner keep both sides on one core. The hit and the planner
+/// are timed in alternation, best of several rounds, so host drift hits
+/// both alike.
+void ReportHitCost() {
+  const int tuples = 8192;
+  Population population = MakePopulation(1, tuples);
+  const Table& table = population.tables[0];
+  const double cells =
+      static_cast<double>(tuples) * table.schema().arity();
+  auto elapsed_us = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - start)
+        .count();
+  };
+
+  double hash_us = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    const Clock::time_point start = Clock::now();
+    benchmark::DoNotOptimize(TableContentHash(table));
+    const double us = elapsed_us(start);
+    if (rep == 0 || us < hash_us) hash_us = us;
+  }
+  const double hash_ns_per_cell = 1000.0 * hash_us / cells;
+
+  RepairServiceOptions options;
+  options.engine.threads = 1;
+  RepairService service(options);
+  RepairRequest request;
+  request.mode = RepairMode::kSubset;
+  request.fds = population.parsed.fds;
+  request.table = &table;
+  if (auto response = service.Serve(request); !response.ok()) {
+    std::cerr << "prime failed: " << response.status() << "\n";
+    std::exit(1);
+  }
+  const FdSet cover = population.parsed.fds.CanonicalCover();
+  double hit_us = 0;
+  double plan_us = 0;
+  for (int round = 0; round < 7; ++round) {
+    Clock::time_point start = Clock::now();
+    auto hit = service.Serve(request);
+    const double round_hit_us = elapsed_us(start);
+    if (!hit.ok() || !hit->cache_hit) {
+      std::cerr << "warm request did not hit the cache\n";
+      std::exit(1);
+    }
+    start = Clock::now();
+    auto planned = ComputeSRepair(cover, table, SRepairOptions{});
+    const double round_plan_us = elapsed_us(start);
+    if (!planned.ok()) {
+      std::cerr << "planner failed: " << planned.status() << "\n";
+      std::exit(1);
+    }
+    if (round == 0 || round_hit_us < hit_us) hit_us = round_hit_us;
+    if (round == 0 || round_plan_us < plan_us) plan_us = round_plan_us;
+  }
+  const double hit_over_plan = plan_us > 0 ? hit_us / plan_us : 0;
+
+  ReportTable report({"n", "hash ns/cell", "warm hit (us)", "planner (us)",
+                      "hit / planner"});
+  report.AddRow({std::to_string(tuples), Num(hash_ns_per_cell), Num(hit_us),
+                 Num(plan_us), Num(hit_over_plan)});
+  report.Print();
+
+  JsonReport::Get().Add("service.content_hash_ns_per_cell", hash_ns_per_cell,
+                        "ns");
+  JsonReport::Get().Add("service.warm_hit_us", hit_us, "us");
+  JsonReport::Get().Add("service.plan_only_us", plan_us, "us");
+  JsonReport::Get().Add("service.warm_hit_over_plan", hit_over_plan, "x");
+}
+
 void Report() {
   benchreport::Banner("service", "RepairService cache: cold vs warm");
   ReportColdVsWarm();
@@ -353,6 +431,8 @@ void Report() {
   ReportDeltaSpeedup();
   std::cout << "\n";
   ReportUDeltaSpeedup();
+  std::cout << "\n";
+  ReportHitCost();
 }
 
 void BM_ServeCold(benchmark::State& state) {

@@ -388,6 +388,25 @@ def self_test():
         1 + scale.get("threshold", default_threshold)) <= 4.0 + 1e-9, scale
     checks += 1
 
+    # The cache-hit gates (bench_service_cache): the content hash per cell
+    # and a warm hit over planner-only time at n=8192 must stay tracked,
+    # and the hit ratio's gate limit baseline*(1+threshold) must stay
+    # below 1 — a cache hit that costs as much as re-planning is a cache
+    # that no longer pays for itself.
+    hash_cell = tracked.get("service.content_hash_ns_per_cell")
+    assert hash_cell is not None, "baselines.json must track the content " \
+        "hash cost per cell"
+    assert hash_cell.get("direction") == "lower", hash_cell
+    assert hash_cell.get("file") == "BENCH_service.json", hash_cell
+    hit_plan = tracked.get("service.warm_hit_over_plan")
+    assert hit_plan is not None, "baselines.json must track the warm hit " \
+        "over planner-only ratio"
+    assert hit_plan.get("direction") == "lower", hit_plan
+    assert hit_plan.get("file") == "BENCH_service.json", hit_plan
+    assert hit_plan["baseline"] * (
+        1 + hit_plan.get("threshold", default_threshold)) < 1.0, hit_plan
+    checks += 1
+
     # Rebase applies headroom (2x for lower, 0.8x for higher) but never
     # lowers a 'higher' baseline below its committed min_baseline.
     with tempfile.TemporaryDirectory() as tmp:

@@ -254,11 +254,16 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     if (options.max_ratio > 0) srepair.max_ratio = options.max_ratio;
     srepair.exec = exec;
     // Capture the run's top-level plan so later deltas of this state can
-    // splice; when this run IS a delta with a live base plan, splice it.
-    // The planner only honors these on the polynomial route — explicit
-    // backends and hard instances carry no plan and always re-solve.
-    auto plan = std::make_shared<SRepairPlanCache>();
-    srepair.capture = plan.get();
+    // splice (a request that bypasses the cache never publishes one, so it
+    // captures nothing); when this run IS a delta with a live base plan,
+    // splice it. The planner only honors these on the polynomial route —
+    // explicit backends and hard instances carry no plan and always
+    // re-solve.
+    std::shared_ptr<SRepairPlanCache> plan;
+    if (!options.bypass_cache) {
+      plan = std::make_shared<SRepairPlanCache>();
+      srepair.capture = plan.get();
+    }
     if (request.delta != nullptr && delta_base != nullptr) {
       srepair.delta_base = delta_base;
       srepair.delta_updated_ids = &request.delta->updated;
@@ -270,8 +275,8 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     if (request.mode == RepairMode::kSoft) {
       cached.route = "soft[" + cached.route + "]";
     }
-    cached.kept_ids = KeptIds(result.repair);
-    if (plan->spliceable) cached.plan = std::move(plan);
+    if (!options.bypass_cache) cached.kept_ids = KeptIds(result.repair);
+    if (plan != nullptr && plan->spliceable) cached.plan = std::move(plan);
     *materialized = std::move(result.repair);
     return cached;
   }
@@ -291,7 +296,7 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
     FDR_ASSIGN_OR_RETURN(SoftRepairResult result,
                          ComputeSoftRepair(cover, table, soptions));
     static_cast<RepairProvenance&>(cached) = result;
-    cached.kept_ids = KeptIds(result.repair);
+    if (!options.bypass_cache) cached.kept_ids = KeptIds(result.repair);
     *materialized = std::move(result.repair);
     return cached;
   }
@@ -303,7 +308,8 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   OptURepairOptions uoptions;
   uoptions.planner = options_.urepair;
   uoptions.exec = exec;
-  auto uplan = std::make_shared<URepairPlanCache>();
+  auto uplan = options.bypass_cache ? nullptr
+                                    : std::make_shared<URepairPlanCache>();
   StatusOr<OptURepairResult> result = Status::Internal("never ran");
   if (request.delta != nullptr && udelta_base != nullptr) {
     OptURepairOptions delta_options = uoptions;
@@ -323,7 +329,7 @@ StatusOr<RepairService::CachedRepair> RepairService::Execute(
   if (!result.ok()) return result.status();
   static_cast<RepairProvenance&>(cached) = *result;
   cached.edits = std::move(result->edits);
-  if (uplan->spliceable) cached.uplan = std::move(uplan);
+  if (uplan != nullptr && uplan->spliceable) cached.uplan = std::move(uplan);
   // Materialize the leader's response exactly as a replay would: one
   // shared code path keeps leader, followers and hits bit-identical.
   FDR_ASSIGN_OR_RETURN(*materialized, cached.Materialize(table));
@@ -397,15 +403,16 @@ StatusOr<RepairResponse> RepairService::Serve(const RepairRequest& request) {
     // result attributed to the wrong state — reject it before keying.
     FDR_RETURN_IF_ERROR(ValidateDelta(*request.delta, *request.table));
   }
-  // Delta requests are identified by their O(|delta|) chain hash; everyone
-  // else pays the O(n) content hash. The two identities never alias (see
+  // A request that bypasses the cache is never keyed (cache_key 0). Delta
+  // requests are identified by their O(|delta|) chain hash; everyone else
+  // pays the O(n) content hash. The two identities never alias (see
   // storage/table_delta.h).
-  const uint64_t table_hash = request.delta != nullptr
-                                  ? request.delta->result_hash
-                                  : TableContentHash(*request.table);
-  const uint64_t key = RequestKey(request.mode, options, cover, table_hash);
-
-  {
+  uint64_t key = 0;
+  if (!options.bypass_cache) {
+    const uint64_t table_hash = request.delta != nullptr
+                                    ? request.delta->result_hash
+                                    : TableContentHash(*request.table);
+    key = RequestKey(request.mode, options, cover, table_hash);
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.lookups;
     if (request.delta != nullptr) {

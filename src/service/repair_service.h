@@ -96,10 +96,12 @@ struct RepairOptions {
   /// advisory only and currently behave like 0 (the engine's pool is
   /// shared and fixed-size).
   int threads = 0;
-  /// Skip the cache entirely (no lookup, no store, no dedup). Admission
-  /// control still applies. Used by benches to measure cold latency.
-  /// Incompatible with delta requests (incremental replay is defined by
-  /// cached state) — that combination is rejected, not ignored.
+  /// Skip the cache entirely: no content hash or key (the response's
+  /// cache_key is 0), no lookup, no store, no dedup, no plan capture, and
+  /// no change to any cache counter. Admission control still applies.
+  /// Used by benches to measure cold latency. Incompatible with delta
+  /// requests (incremental replay is defined by cached state) — that
+  /// combination is rejected, not ignored.
   bool bypass_cache = false;
   /// kSoft only: a per-FD weight profile applied over request.fds in its
   /// stored FD order (FdSet::WithWeights) — size must equal fds.size(),
@@ -141,12 +143,14 @@ struct RepairResponse : RepairProvenance {
   /// True when this response was replayed from the cache (including
   /// single-flight followers); false when this call ran the planner.
   bool cache_hit = false;
-  /// The canonical request key (stable across processes; loggable).
+  /// The canonical request key (stable across processes; loggable). 0 when
+  /// the request bypassed the cache: such a request is never keyed.
   uint64_t cache_key = 0;
 };
 
 /// Monotonic counters since construction, plus the current entry count.
 struct RepairServiceStats {
+  /// Keyed requests (every request except those that bypass the cache).
   uint64_t lookups = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;

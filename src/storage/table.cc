@@ -1,12 +1,70 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <bit>
 #include <iomanip>
 #include <sstream>
 
 #include "common/strings.h"
 
 namespace fdrepair {
+
+void RowIndex::Reserve(int rows, const TupleId* ids) {
+  size_t capacity = 16;
+  while (capacity < 2 * static_cast<size_t>(rows)) capacity *= 2;
+  if (capacity > slots_.size()) Rehash(capacity, ids);
+}
+
+size_t RowIndex::Home(TupleId id) const {
+  // Fibonacci hashing: the multiply's top bits, so sequential ids spread.
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+size_t RowIndex::Probe(TupleId id, const TupleId* ids) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(id);
+  while (slots_[i] >= 0 && ids[slots_[i]] != id) i = (i + 1) & mask;
+  return i;
+}
+
+int RowIndex::Find(TupleId id, const TupleId* ids) const {
+  if (slots_.empty()) return -1;
+  return slots_[Probe(id, ids)];
+}
+
+bool RowIndex::Insert(int row, const TupleId* ids) {
+  if (2 * static_cast<size_t>(size_ + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()), ids);
+  }
+  int& slot = slots_[Probe(ids[row], ids)];
+  if (slot >= 0) return false;
+  slot = row;
+  ++size_;
+  return true;
+}
+
+void RowIndex::Rebuild(int rows, const TupleId* ids) {
+  std::fill(slots_.begin(), slots_.end(), -1);
+  size_ = 0;
+  for (int row = 0; row < rows; ++row) {
+    const bool inserted = Insert(row, ids);
+    FDR_CHECK(inserted);
+  }
+}
+
+void RowIndex::Rehash(size_t capacity, const TupleId* ids) {
+  std::vector<int> old = std::move(slots_);
+  slots_.assign(capacity, -1);
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (int row : old) {
+    if (row < 0) continue;
+    size_t i = Home(ids[row]);
+    while (slots_[i] >= 0) i = (i + 1) & mask;
+    slots_[i] = row;
+  }
+}
 
 Table::Table(Schema schema)
     : Table(std::move(schema), std::make_shared<ValuePool>()) {}
@@ -49,14 +107,15 @@ Status Table::AddInternedTupleWithId(TupleId id, Tuple values, double weight) {
     return Status::InvalidArgument("tuple weight must be positive, got " +
                                    FormatDouble(weight));
   }
-  if (id_index_.find(id) != id_index_.end()) {
+  if (id_index_.Find(id, ids_.data()) >= 0) {
     return Status::InvalidArgument("duplicate tuple identifier " +
                                    std::to_string(id));
   }
   // All validation passed: update the row store and its column-major
   // mirror together, so no failure path can leave them disagreeing.
-  id_index_.emplace(id, num_tuples());
+  const int row = num_tuples();
   ids_.push_back(id);
+  id_index_.Insert(row, ids_.data());
   weights_.push_back(weight);
   for (int a = 0; a < schema_.arity(); ++a) columns_[a].push_back(values[a]);
   tuples_.push_back(std::move(values));
@@ -65,11 +124,11 @@ Status Table::AddInternedTupleWithId(TupleId id, Tuple values, double weight) {
 }
 
 StatusOr<int> Table::RowOf(TupleId id) const {
-  auto it = id_index_.find(id);
-  if (it == id_index_.end()) {
+  const int row = id_index_.Find(id, ids_.data());
+  if (row < 0) {
     return Status::NotFound("no tuple with identifier " + std::to_string(id));
   }
-  return it->second;
+  return row;
 }
 
 const std::string& Table::ValueText(int row, AttrId attr) const {
@@ -108,21 +167,22 @@ bool Table::IsDuplicateFree() const {
 
 Table Table::SubsetByRows(const std::vector<int>& rows) const {
   Table out(schema_, pool_);
-  // Reserve everything up front — in particular id_index_, whose
-  // per-append rehash churn dominated large subsets — and append directly:
+  // Reserve everything up front — in particular id_index_, so it never
+  // rehashes while filling — and append directly:
   // the source rows already satisfy the append invariants (positive
   // weights, matching arity), leaving only the duplicate-row check.
   out.ids_.reserve(rows.size());
   out.weights_.reserve(rows.size());
   out.tuples_.reserve(rows.size());
-  out.id_index_.reserve(rows.size());
+  out.id_index_.Reserve(static_cast<int>(rows.size()), out.ids_.data());
   for (auto& column : out.columns_) column.reserve(rows.size());
   for (int row : rows) {
     FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
-    auto [it, inserted] = out.id_index_.emplace(ids_[row], out.num_tuples());
+    out.ids_.push_back(ids_[row]);
+    const bool inserted =
+        out.id_index_.Insert(out.num_tuples(), out.ids_.data());
     FDR_CHECK_MSG(inserted, "duplicate row " << row << " (tuple identifier "
                                              << ids_[row] << ")");
-    out.ids_.push_back(ids_[row]);
     out.weights_.push_back(weights_[row]);
     out.tuples_.push_back(tuples_[row]);
     out.next_id_ = std::max(out.next_id_, ids_[row] + 1);
@@ -137,8 +197,8 @@ Table Table::SubsetByRows(const std::vector<int>& rows) const {
 }
 
 Table Table::Clone() const {
-  // Whole-container copies: id_index_ is copied as one map (bucket array
-  // sized once), never rebuilt entry by entry.
+  // Whole-container copies: id_index_ is one flat slot array, copied as
+  // such, never rebuilt entry by entry.
   Table out(schema_, pool_);
   out.ids_ = ids_;
   out.weights_ = weights_;
@@ -158,13 +218,12 @@ void Table::SetValue(int row, AttrId attr, ValueId value) {
 
 void Table::EraseRow(int row) {
   FDR_CHECK_MSG(row >= 0 && row < num_tuples(), "row=" << row);
-  id_index_.erase(ids_[row]);
   ids_.erase(ids_.begin() + row);
   weights_.erase(weights_.begin() + row);
   tuples_.erase(tuples_.begin() + row);
   for (auto& column : columns_) column.erase(column.begin() + row);
   // Every surviving row after the gap moved down one position.
-  for (int r = row; r < num_tuples(); ++r) id_index_[ids_[r]] = r;
+  id_index_.Rebuild(num_tuples(), ids_.data());
 }
 
 Status Table::EraseTuple(TupleId id) {

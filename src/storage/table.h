@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -45,6 +44,36 @@ class ColumnView {
 /// The column-major half of the hybrid layout: one ValueId vector per
 /// schema attribute, each indexed by dense row position.
 using ColumnSet = std::vector<std::vector<ValueId>>;
+
+/// TupleId → dense row position for one table, by open addressing with
+/// linear probing over a flat array of row numbers (power-of-two capacity,
+/// at most half full). A slot holds only its row; the row's id is read
+/// from the table's id column, passed in as `ids` (ids[row] is row's id),
+/// so the index costs 8–16 bytes per row and filling it allocates nothing
+/// per row. Copying a table copies one vector, and a lookup is one
+/// multiply plus a short probe.
+class RowIndex {
+ public:
+  /// Grows the capacity to hold `rows` entries without rehashing.
+  void Reserve(int rows, const TupleId* ids);
+  /// The row whose id is `id`, or -1.
+  int Find(TupleId id, const TupleId* ids) const;
+  /// Indexes `row` under ids[row]; returns false, changing nothing, if
+  /// another row already holds that id.
+  bool Insert(int row, const TupleId* ids);
+  /// Re-indexes rows 0..rows-1 from scratch.
+  void Rebuild(int rows, const TupleId* ids);
+
+ private:
+  /// The slot holding `id`'s row, or the empty slot where it would go.
+  size_t Probe(TupleId id, const TupleId* ids) const;
+  size_t Home(TupleId id) const;
+  void Rehash(size_t capacity, const TupleId* ids);
+
+  std::vector<int> slots_;  // a row, or -1 when empty
+  int size_ = 0;
+  int shift_ = 64;
+};
 
 /// A weighted, identified relation instance over one Schema.
 ///
@@ -165,7 +194,7 @@ class Table {
   std::vector<Tuple> tuples_;
   /// Column-major mirror of tuples_: columns_[a][r] == tuples_[r][a].
   ColumnSet columns_;
-  std::unordered_map<TupleId, int> id_index_;
+  RowIndex id_index_;
   TupleId next_id_ = 1;
 };
 

@@ -35,8 +35,10 @@ bool Disjoint(const std::vector<TupleId>& a, const std::vector<TupleId>& b) {
   return true;
 }
 
-/// Mixes one mutated row's full content — the same framed fields, in the
-/// same order, as TableContentHash mixes per row.
+/// Mixes one mutated row's full content: id, weight bits, then the
+/// memoized text digests of its cells in schema order — the same words
+/// TableContentHash absorbs for that row, through the same column
+/// primitive.
 Status MixRowContent(StableHasher* hasher, const Table& mutated, TupleId id,
                      const char* role) {
   StatusOr<int> row = mutated.RowOf(id);
@@ -47,9 +49,8 @@ Status MixRowContent(StableHasher* hasher, const Table& mutated, TupleId id,
   }
   hasher->MixInt64(id);
   hasher->MixDouble(mutated.weight(*row));
-  for (AttrId a = 0; a < mutated.schema().arity(); ++a) {
-    hasher->MixString(mutated.ValueText(*row, a));
-  }
+  MixValueDigests(hasher, *mutated.pool(), mutated.tuple(*row).data(),
+                  mutated.schema().arity());
   return Status::OK();
 }
 

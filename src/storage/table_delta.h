@@ -20,15 +20,17 @@
 // Note the chain hash of a mutated state deliberately differs from
 // TableContentHash of the same state: a delta-served entry is keyed by its
 // chain, a cold request by its content. The two keys never alias each
-// other (both are FNV-1a over differently-framed streams), they just don't
-// share cache entries — the price of O(|delta|) instead of O(|table|)
-// identity. See docs/ARCHITECTURE.md, "Caching & invalidation semantics".
+// other (both are StableHasher streams with different framing), they just
+// don't share cache entries — the price of O(|delta|) instead of
+// O(|table|) identity. See docs/ARCHITECTURE.md, "Caching & invalidation
+// semantics".
 
 #ifndef FDREPAIR_STORAGE_TABLE_DELTA_H_
 #define FDREPAIR_STORAGE_TABLE_DELTA_H_
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"

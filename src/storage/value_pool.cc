@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "common/stable_hash.h"
+
 namespace fdrepair {
 
 ValueId ValuePool::InternLocked(const std::string& text) {
@@ -10,6 +12,7 @@ ValueId ValuePool::InternLocked(const std::string& text) {
   ValueId id = static_cast<ValueId>(texts_.size());
   index_.emplace(text, id);
   texts_.push_back(text);
+  digests_.push_back(TextDigest(text));
   fresh_.push_back(false);
   return id;
 }

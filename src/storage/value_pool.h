@@ -7,17 +7,27 @@
 // which the U-repair constructions rely on (Proposition 4.4 updates lhs-cover
 // cells "to a fresh constant from our infinite domain Val").
 //
+// Every value also carries a memoized *text digest*: TextDigest(text)
+// (common/stable_hash.h), computed once when the text is interned and
+// stored beside it. It depends only on the text, never on the id or the
+// pool, so content hashes built from digests (storage/table_hash.h) agree
+// across pools, processes and runs while never re-reading a cell's bytes.
+//
 // Thread safety: the pool is internally synchronized with a shared_mutex —
-// any number of concurrent readers (Lookup/Text/IsFresh/size), and writers
-// (Intern/FreshValue) exclusive against both. This is what lets the repair
-// engine's blocks share one parent table, and derived repairs share one
-// dictionary, across worker threads without copies. References returned by
-// Text() stay valid for the pool's lifetime even across concurrent
+// any number of concurrent readers (Lookup/Text/IsFresh/size/digests), and
+// writers (Intern/FreshValue) exclusive against both. This is what lets the
+// repair engine's blocks share one parent table, and derived repairs share
+// one dictionary, across worker threads without copies. References returned
+// by Text() stay valid for the pool's lifetime even across concurrent
 // interning (values live in a deque, which never relocates elements).
+// Digests live in a plain vector, which interning may relocate, so they are
+// only read under the shared lock: GatherDigests takes it once per run of
+// ids (one table column, one row) instead of once per cell.
 
 #ifndef FDREPAIR_STORAGE_VALUE_POOL_H_
 #define FDREPAIR_STORAGE_VALUE_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <shared_mutex>
@@ -76,6 +86,31 @@ class ValuePool {
   /// Number of distinct values (interned + fresh).
   int64_t size() const;
 
+  /// Gathers the memoized digests of values[0..count) — TextDigest of
+  /// each value's text — in order, in chunks of at most kDigestChunk words
+  /// (a multiple of 4) into a small stack buffer, and calls
+  /// fn(const uint64_t* digests, int n) once per chunk. One shared lock
+  /// covers the whole run, so `fn` must not call back into this pool.
+  /// Every id must come from this pool.
+  static constexpr int kDigestChunk = 256;
+  template <typename Fn>
+  void GatherDigests(const ValueId* values, int count, Fn&& fn) const {
+    uint64_t chunk[kDigestChunk];
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    const uint64_t* digests = digests_.data();
+    const auto size = static_cast<uint32_t>(digests_.size());
+    for (int begin = 0; begin < count; begin += kDigestChunk) {
+      const int n = std::min(kDigestChunk, count - begin);
+      for (int i = 0; i < n; ++i) {
+        const ValueId value = values[begin + i];
+        // One unsigned compare also rejects negative ids.
+        FDR_CHECK(static_cast<uint32_t>(value) < size);
+        chunk[i] = digests[value];
+      }
+      fn(static_cast<const uint64_t*>(chunk), n);
+    }
+  }
+
  private:
   /// Intern with mu_ already held exclusively.
   ValueId InternLocked(const std::string& text);
@@ -85,6 +120,8 @@ class ValuePool {
   /// deque, not vector: growth must not relocate strings that concurrent
   /// readers hold references into.
   std::deque<std::string> texts_;
+  /// digests_[id] == TextDigest(texts_[id]), filled by InternLocked.
+  std::vector<uint64_t> digests_;
   std::vector<bool> fresh_;
   int64_t fresh_counter_ = 0;
 };

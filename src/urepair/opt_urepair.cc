@@ -37,12 +37,14 @@ std::shared_ptr<URepairBlockRecipe> BuildBlockEdits(
 }
 
 /// Working edit form carrying the dense row position for canonical
-/// ordering and the row-order distance sum.
+/// ordering and the row-order distance sum. The text is borrowed — from
+/// the pool (stable for its lifetime) or from a block recipe the splice
+/// keeps alive — and copied once, into the assembled result.
 struct PosEdit {
   int row = 0;
   AttrId attr = 0;
   TupleId id = 0;
-  std::string text;
+  const std::string* text = nullptr;
 };
 
 /// The certificate and route of a finished run. Exact runs are optimal;
@@ -67,25 +69,35 @@ RepairProvenance CellsProvenance(double distance, bool all_exact,
 /// (rows without edits contribute an exact +0.0 there, so skipping them is
 /// bit-identical). Only spliced runs assemble here, and every spliceable
 /// route is exact.
-OptURepairResult AssembleResult(const Table& table, std::vector<PosEdit> edits,
+OptURepairResult AssembleResult(const Table& table,
+                                const std::vector<PosEdit>& edits,
                                 URepairPlan plan) {
-  std::sort(edits.begin(), edits.end(), [](const PosEdit& a, const PosEdit& b) {
-    return a.row != b.row ? a.row < b.row : a.attr < b.attr;
-  });
+  // Canonical order by a counting sort on the row — O(rows + edits) —
+  // then by attribute within each row (at most arity edits, one per cell).
+  const int rows = table.num_tuples();
+  std::vector<int> begin(rows + 1, 0);
+  for (const PosEdit& edit : edits) ++begin[edit.row + 1];
+  for (int row = 0; row < rows; ++row) begin[row + 1] += begin[row];
+  std::vector<int> order(edits.size());
+  std::vector<int> next(begin.begin(), begin.end() - 1);
+  for (size_t i = 0; i < edits.size(); ++i) {
+    order[next[edits[i].row]++] = static_cast<int>(i);
+  }
   OptURepairResult result;
   double distance = 0;
-  for (size_t i = 0; i < edits.size();) {
-    size_t j = i;
-    while (j < edits.size() && edits[j].row == edits[i].row) ++j;
-    distance += table.weight(edits[i].row) * static_cast<int>(j - i);
-    i = j;
+  for (int row = 0; row < rows; ++row) {
+    const int count = begin[row + 1] - begin[row];
+    if (count == 0) continue;
+    std::sort(order.begin() + begin[row], order.begin() + begin[row + 1],
+              [&edits](int a, int b) { return edits[a].attr < edits[b].attr; });
+    distance += table.weight(row) * count;
   }
   static_cast<RepairProvenance&>(result) =
       CellsProvenance(distance, true, 1.0, plan);
   result.edits.reserve(edits.size());
-  for (PosEdit& edit : edits) {
-    result.edits.push_back(
-        URepairCellEdit{edit.id, edit.attr, std::move(edit.text)});
+  for (int index : order) {
+    const PosEdit& edit = edits[index];
+    result.edits.push_back(URepairCellEdit{edit.id, edit.attr, *edit.text});
   }
   result.plan = std::move(plan);
   return result;
@@ -277,6 +289,9 @@ StatusOr<OptURepairResult> DeltaCells(
 
   ValuePool& pool = *table.pool();
   std::vector<PosEdit> edits;
+  // Holds every block recipe an edit borrows its text from until the
+  // result is assembled (with capture == nullptr no plan keeps them).
+  std::vector<std::shared_ptr<const URepairBlockRecipe>> pinned;
   SRepairSpliceStats total;
 
   if (capture != nullptr) {
@@ -294,7 +309,7 @@ StatusOr<OptURepairResult> DeltaCells(
     const std::string& text = pool.Text(plurality);
     for (int row = 0; row < column.size(); ++row) {
       if (column[row] != plurality) {
-        edits.push_back(PosEdit{row, attr, table.id(row), text});
+        edits.push_back(PosEdit{row, attr, table.id(row), &text});
       }
     }
   }
@@ -365,8 +380,9 @@ StatusOr<OptURepairResult> DeltaCells(
           for (const URepairBlockRecipe::Edit& edit : recipe->edits) {
             const TupleId id = block->ids[edit.pos];
             FDR_ASSIGN_OR_RETURN(int row, table.RowOf(id));
-            edits.push_back(PosEdit{row, edit.attr, id, edit.text});
+            edits.push_back(PosEdit{row, edit.attr, id, &edit.text});
           }
+          pinned.push_back(recipe);
           cache.block_edits.push_back(std::move(recipe));
         }
         if (capture != nullptr && !fresh->spliceable) {
@@ -396,7 +412,7 @@ StatusOr<OptURepairResult> DeltaCells(
           for (int row = 0; row < before.size(); ++row) {
             if (before[row] != after[row]) {
               edits.push_back(
-                  PosEdit{row, attr, table.id(row), sub.ValueText(row, attr)});
+                  PosEdit{row, attr, table.id(row), &sub.ValueText(row, attr)});
             }
           }
         }
@@ -422,7 +438,7 @@ StatusOr<OptURepairResult> DeltaCells(
   // No Satisfies() audit here: the splice path exists to skip O(n · arity)
   // re-work, and its bit-identity with the cold run (which does audit) is
   // property-tested in tests/delta_test.cc.
-  return AssembleResult(table, std::move(edits), std::move(plan));
+  return AssembleResult(table, edits, std::move(plan));
 }
 
 }  // namespace

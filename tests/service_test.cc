@@ -296,6 +296,50 @@ TEST(RepairServiceTest, BypassCacheNeitherReadsNorStores) {
   EXPECT_EQ(stats.entries, 0u);
 }
 
+// A bypass request is never keyed (cache_key 0), answers exactly what a
+// cached request answers, and leaves every cache counter as it was — in
+// both repair modes, next to a live entry for the same request.
+TEST(RepairServiceTest, BypassIsNeverKeyedAndLeavesCacheCountersUntouched) {
+  ParsedFdSet parsed = OfficeFds();
+  Table table = ScalingFamilyTable(parsed, 400, 31);
+  RepairService service;
+  for (RepairMode mode : {RepairMode::kSubset, RepairMode::kUpdate}) {
+    RepairRequest request = Request(mode, parsed.fds, &table);
+    auto cached = service.Serve(request);
+    ASSERT_TRUE(cached.ok()) << cached.status();
+    ASSERT_NE(cached->cache_key, 0u);
+    const RepairServiceStats before = service.stats();
+
+    RepairRequest bypass = request;
+    bypass.options.bypass_cache = true;
+    auto bypassed = service.Serve(bypass);
+    ASSERT_TRUE(bypassed.ok()) << bypassed.status();
+    EXPECT_FALSE(bypassed->cache_hit);
+    EXPECT_EQ(bypassed->cache_key, 0u);
+    ExpectSameRepair(cached->repair, bypassed->repair);
+    EXPECT_EQ(bypassed->distance, cached->distance);
+    EXPECT_EQ(bypassed->optimal, cached->optimal);
+    EXPECT_EQ(bypassed->ratio_bound, cached->ratio_bound);
+    EXPECT_EQ(bypassed->lower_bound, cached->lower_bound);
+    EXPECT_EQ(bypassed->route, cached->route);
+    EXPECT_EQ(bypassed->backend, cached->backend);
+
+    const RepairServiceStats after = service.stats();
+    EXPECT_EQ(after.lookups, before.lookups);
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_EQ(after.single_flight_waits, before.single_flight_waits);
+    EXPECT_EQ(after.evictions, before.evictions);
+
+    // The live entry still answers the keyed request.
+    auto hit = service.Serve(request);
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_TRUE(hit->cache_hit);
+    ExpectSameResponse(*hit, *cached);
+  }
+}
+
 // The thread hint applies to every mode: subset, update and update-delta
 // requests pinned to the calling thread (threads = 1) answer bit-identically
 // to the pooled default on a 4-thread engine and to a 1-thread engine.

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "catalog/fd_parser.h"
+#include "common/random.h"
 #include "storage/consistency.h"
 #include "storage/distance.h"
 #include "storage/table.h"
@@ -137,6 +140,47 @@ TEST(TableTest, ColumnStoreStaysInSyncThroughEveryMutator) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->ColumnStoreConsistent());
   EXPECT_EQ(loaded->num_tuples(), table.num_tuples());
+}
+
+// RowIndex against a std::unordered_map model over random appends
+// (including duplicate ids, which must be refused) and row erasures. Ids
+// come from a small range with a large stride, so probe runs collide and
+// wrap around the slot array.
+TEST(TableTest, RowIndexMatchesAMapModelUnderRandomEdits) {
+  Rng rng(91);
+  RowIndex index;
+  std::vector<TupleId> ids;
+  auto model = [&ids] {
+    std::unordered_map<TupleId, int> rows;
+    for (int row = 0; row < static_cast<int>(ids.size()); ++row) {
+      rows.emplace(ids[row], row);
+    }
+    return rows;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    if (!ids.empty() && rng.UniformUint64(4) == 0) {
+      ids.erase(ids.begin() + rng.UniformIndex(ids.size()));
+      index.Rebuild(static_cast<int>(ids.size()), ids.data());
+    } else {
+      const TupleId id =
+          static_cast<TupleId>(rng.UniformInt(-40, 200)) * (int64_t{1} << 36);
+      const bool fresh = model().count(id) == 0;
+      ids.push_back(id);
+      EXPECT_EQ(index.Insert(static_cast<int>(ids.size()) - 1, ids.data()),
+                fresh);
+      if (!fresh) ids.pop_back();
+    }
+    if (step % 37 == 0) {
+      const std::unordered_map<TupleId, int> rows = model();
+      for (TupleId probe = -40; probe <= 200; ++probe) {
+        const TupleId key = probe * (int64_t{1} << 36);
+        auto it = rows.find(key);
+        ASSERT_EQ(index.Find(key, ids.data()),
+                  it == rows.end() ? -1 : it->second)
+            << "step " << step << " id " << key;
+      }
+    }
+  }
 }
 
 TEST(TableViewTest, GroupByPartitions) {
